@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap
-from .polycore import IntPoly, TruncatedSeries, series_reciprocal_product
+from .polycore import IntPoly, factor_product, series_reciprocal_product
 from .qanalogue import FlagShape
 
 PSI_METHODS = ("subset-oracle", "fn-coefficients", "pentagonal", "exp-log")
@@ -72,10 +72,7 @@ class PsiTable:
     @classmethod
     @lru_cache(maxsize=None)
     def for_n(cls, n: int) -> PsiTable:
-        poly = IntPoly.one()
-        for i in range(1, n + 1):
-            poly = poly * (IntPoly.one() - IntPoly.monomial(1, i))
-        return cls(n, poly.coeffs)
+        return cls(n, tuple(factor_product(range(1, n + 1), (), n * (n + 1) // 2)))
 
     def value(self, r: int) -> int:
         if 0 <= r < len(self.values):
@@ -182,7 +179,7 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
     if r < 0 or r > top:
         return 0
     if method == "fn-coefficients":
-        return PsiTable.for_n(n).value(r)
+        return factor_product(range(1, min(n, r) + 1), (), r)[r]
     if method == "subset-oracle":
         check_cap(1 << n, cap, "signed subset enumeration")
         return _subset_signed_histogram(n)[r]
@@ -215,9 +212,7 @@ def signed_subset_identity_check(r: int, w: WeightVector, order: int) -> bool:
     if order < 0:
         raise ValidationError("truncation order must be nonnegative")
     series = series_reciprocal_product(w.weights, order)
-    numerator = IntPoly.one()
-    for i in range(1, r + 1):
-        numerator = numerator * (IntPoly.one() - IntPoly.monomial(1, i))
+    numerator = IntPoly(factor_product(range(1, r + 1), (), r * (r + 1) // 2))
     lhs = series.mul_poly(numerator)
 
     def d(m: int) -> int:
@@ -240,6 +235,7 @@ def mahonian_via_denumerant(shape: FlagShape, k: int, cap: int = DEFAULT_CAP) ->
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
     n = shape.n
+    check_cap(1 << n, cap, "signed subset enumeration")
     series = series_reciprocal_product(epsilon_weights(shape).weights, k)
 
     def d(m: int) -> int:
@@ -247,7 +243,6 @@ def mahonian_via_denumerant(shape: FlagShape, k: int, cap: int = DEFAULT_CAP) ->
 
     table = PsiTable.for_n(n)
     by_convolution = sum(table.value(i) * d(k - i) for i in range(0, min(k, len(table.values) - 1) + 1))
-    check_cap(1 << n, cap, "signed subset enumeration")
     by_subsets = sum(sign * d(k - total) for total, sign in _subset_sums_signed(n))
     if by_convolution != by_subsets:
         raise RuntimeError(

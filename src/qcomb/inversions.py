@@ -17,8 +17,8 @@ from typing import Iterator, Sequence
 
 from .denumerant import PsiTable, generalized_binomial
 from .errors import DEFAULT_CAP, ValidationError, check_cap
-from .polycore import IntPoly
-from .qanalogue import FlagShape, q_int, q_multinomial
+from .polycore import IntPoly, factor_product
+from .qanalogue import FlagShape, q_multinomial
 
 
 @lru_cache(maxsize=None)
@@ -154,10 +154,8 @@ def full_mahonian(n: int) -> MahonianTable:
     """Inversion counts of plain permutations of [n], via (1)(1+t)...(1+...+t^{n-1})."""
     if n < 1:
         raise ValidationError("n must be a positive integer")
-    poly = IntPoly.one()
-    for m in range(1, n + 1):
-        poly = poly * q_int(m)
-    return MahonianTable(FlagShape.full(n), poly.coeffs)
+    counts = factor_product(range(1, n + 1), (1,) * n, n * (n - 1) // 2)
+    return MahonianTable(FlagShape.full(n), counts)
 
 
 def is_refinement(shape: FlagShape, refined: FlagShape) -> bool:

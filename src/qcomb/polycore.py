@@ -3,7 +3,9 @@
 A polynomial is a dense tuple of arbitrary-precision integer coefficients,
 constant term first; ``IntPoly((1, 0, 2))`` is ``1 + 2x^2``.  A truncated
 series carries exactly ``order + 1`` coefficients and its arithmetic never
-consults anything beyond the truncation order.
+consults anything beyond the truncation order.  `factor_product` expands
+truncated products of factors (1 - t^k)^{+-1}, the kernel behind every
+closed form in the package.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely between threads.
@@ -11,6 +13,8 @@ so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -196,10 +200,6 @@ class TruncatedSeries:
         object.__setattr__(self, "order", order)
 
     @classmethod
-    def one(cls, order: int) -> TruncatedSeries:
-        return cls((1,) + (0,) * order, order)
-
-    @classmethod
     def from_poly(cls, p: IntPoly, order: int) -> TruncatedSeries:
         return cls(tuple(p.coefficient(i) for i in range(order + 1)), order)
 
@@ -223,14 +223,29 @@ class TruncatedSeries:
                         out[i + j] += c * d
         return TruncatedSeries(out, self.order)
 
-    def divide_by_one_minus_power(self, w: int) -> TruncatedSeries:
-        """Exact division by (1 - t^w), i.e. multiplication by 1 + t^w + t^2w + ..."""
-        if w < 1:
-            raise ValidationError("stride must be a positive integer")
-        out = list(self.coeffs)
-        for m in range(w, self.order + 1):
-            out[m] += out[m - w]
-        return TruncatedSeries(out, self.order)
+
+def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:
+    """Coefficients through t^order of prod_{a in num} (1 - t^a) / prod_{b in den} (1 - t^b).
+
+    Multiplying by (1 - t^a) subtracts the series shifted by a; dividing by
+    (1 - t^b) takes running sums along each residue class mod b.  Each factor
+    costs O(order) exact integer additions.
+
+    >>> factor_product((2, 3), (1, 1), 6)
+    [1, 2, 2, 1, 0, 0, 0]
+    """
+    num, den = tuple(num), tuple(den)
+    if order < 0:
+        raise ValidationError("truncation order must be nonnegative")
+    if min(num + den, default=1) < 1:
+        raise ValidationError(f"factor exponents must be positive integers, got {min(num + den)}")
+    out = [1] + [0] * order
+    for a in num:
+        out[a:] = map(operator.sub, out[a:], out[:-a])
+    for b in den:
+        for r in range(min(b, order + 1)):
+            out[r::b] = itertools.accumulate(out[r::b])
+    return out
 
 
 def series_reciprocal_product(weights: Sequence[int], order: int) -> TruncatedSeries:
@@ -242,12 +257,4 @@ def series_reciprocal_product(weights: Sequence[int], order: int) -> TruncatedSe
     >>> series_reciprocal_product((1, 2), 4).coeffs
     (1, 1, 2, 2, 3)
     """
-    if order < 0:
-        raise ValidationError("truncation order must be nonnegative")
-    for w in weights:
-        if w < 1:
-            raise ValidationError(f"weights must be positive integers, got {w}")
-    series = TruncatedSeries.one(order)
-    for w in weights:
-        series = series.divide_by_one_minus_power(w)
-    return series
+    return TruncatedSeries(factor_product((), weights, order), order)

@@ -1,13 +1,15 @@
 """q-integers, q-factorials, q-binomial and q-multinomial coefficients.
 
-The q-binomial is built from the Pascal-type recurrence
+The q-binomial and q-multinomial coefficients are truncated products of
+factors (1 - x^k)^{+-1}, expanded by the kernel `factor_product`:
 
-    qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e)
+    qbinom(n, e) = prod_{i=n-e+1}^{n} (1 - x^i) / prod_{j=1}^{e} (1 - x^j)
 
-so every intermediate value has nonnegative integer coefficients and no
-polynomial division is ever needed; the explicit factorial quotient is kept
-around only as a cross-check (see the test suite).  Partition counting and
-bounded-multiset enumeration provide independent oracles for the same
+The division is exact, so every coefficient is a nonnegative integer.  The
+q-factorial is kept on plain `IntPoly` products as the oracle the kernel is
+checked against, and `verify` compares both with the Pascal-type recurrence
+qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e).  Partition counting
+and bounded-multiset enumeration provide independent oracles for the same
 coefficients.
 """
 
@@ -20,7 +22,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap
-from .polycore import IntPoly
+from .polycore import IntPoly, factor_product
 
 
 @dataclass(frozen=True, init=False)
@@ -123,30 +125,20 @@ def q_factorial(n: int) -> IntPoly:
     return result
 
 
-@lru_cache(maxsize=None)
-def _q_binomial(n: int, e: int) -> IntPoly:
-    if e == 0 or e == n:
-        return IntPoly.one()
-    return _q_binomial(n - 1, e - 1) + IntPoly.monomial(1, e) * _q_binomial(n - 1, e)
-
-
 def q_binomial(n: int, e: int) -> IntPoly:
     """Gaussian binomial coefficient, degree e(n-e), positive coefficients."""
     if n < 0 or e < 0:
         raise ValidationError("q_binomial requires nonnegative arguments")
     if e > n:
         raise ValidationError(f"q_binomial needs e <= n, got e={e}, n={n}")
-    return _q_binomial(n, e)
+    e = min(e, n - e)
+    return IntPoly(factor_product(range(n - e + 1, n + 1), range(1, e + 1), e * (n - e)))
 
 
 def q_multinomial(shape: FlagShape) -> IntPoly:
-    """Product of Gaussian binomials over the blocks of `shape`; degree nu."""
-    result = IntPoly.one()
-    c = shape.cuts
-    e = shape.block_sizes
-    for i in range(shape.r):
-        result = result * q_binomial(shape.n - c[i], e[i])
-    return result
+    """[n]! / prod_i [e_i]! over the blocks of `shape`; degree nu."""
+    den = [j for e in shape.block_sizes for j in range(1, e + 1)]
+    return IntPoly(factor_product(range(1, shape.n + 1), den, shape.nu))
 
 
 @lru_cache(maxsize=None)

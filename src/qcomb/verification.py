@@ -53,6 +53,7 @@ from .inversions import (
     mahonian_table,
     refinement_recurrence,
 )
+from .polycore import IntPoly
 from .qanalogue import (
     FlagShape,
     all_shapes,
@@ -90,11 +91,18 @@ def _refinement_pairs(n: int) -> Iterator[tuple[FlagShape, FlagShape]]:
 
 
 def _check_recurrence_vs_quotient(max_n: int, cap: int) -> tuple[bool, str]:
+    # three routes: the Pascal recurrence
+    # qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), one row at a time;
+    # the factor kernel behind q_binomial; and the q-factorial quotient
     cases = 0
+    row = [IntPoly.one()]
     for n in range(0, max_n + 1):
+        if n:
+            inner = [row[e - 1] + IntPoly.monomial(1, e) * row[e] for e in range(1, n)]
+            row = [IntPoly.one(), *inner, IntPoly.one()]
         for e in range(0, n + 1):
             quotient = q_factorial(n).exact_quotient(q_factorial(e) * q_factorial(n - e))
-            if q_binomial(n, e) != quotient:
+            if not row[e] == q_binomial(n, e) == quotient:
                 return False, f"mismatch at n={n}, e={e}"
             cases += 1
     return True, f"{cases} pairs"

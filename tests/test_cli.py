@@ -226,3 +226,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "value\n2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_row",
+    [
+        (["qbinom", "1500", "1"], 0, "0     1"),
+        (["inv", "300", "--k", "5", "--method", "denumerant"], 2, None),
+        (["psi", "5000", "3"], 0, "0"),
+    ],
+)
+def test_large_arguments_end_quickly(argv, code, first_row):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcomb.cli", *argv], capture_output=True, text=True, timeout=10
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if first_row is None:
+        assert proc.stdout == "" and "resource limit" in proc.stderr
+    else:
+        assert proc.stdout.splitlines()[1] == first_row

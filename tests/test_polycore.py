@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qcomb import IntPoly, TruncatedSeries, ValidationError, series_reciprocal_product
+from qcomb import IntPoly, TruncatedSeries, ValidationError, factor_product, series_reciprocal_product
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 polys = coeff_lists.map(IntPoly)
@@ -101,6 +101,29 @@ def test_series_truncation_consistency(weights, order):
         assert full.truncated(shorter) == series_reciprocal_product(weights, shorter)
     assert all(c >= 0 for c in full.coeffs)
     assert full.coefficient(0) == 1
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=9), max_size=5),
+    st.lists(st.integers(min_value=1, max_value=9), max_size=5),
+    st.integers(min_value=0, max_value=30),
+)
+def test_factor_product_matches_intpoly_expansion(num, den, order):
+    expected = IntPoly.one()
+    for a in num:
+        expected = expected * (IntPoly.one() - IntPoly.monomial(1, a))
+    for b in den:  # 1/(1 - t^b) = sum_j t^{jb}, cut at the order
+        expected = expected * IntPoly(1 if m % b == 0 else 0 for m in range(order + 1))
+    assert factor_product(num, den, order) == [expected.coefficient(m) for m in range(order + 1)]
+
+
+def test_factor_product_edge_cases():
+    assert factor_product((3, 1), (2,), 0) == [1]
+    assert factor_product((), (), 4) == [1, 0, 0, 0, 0]
+    assert factor_product((7,), (9,), 5) == [1, 0, 0, 0, 0, 0]  # factors beyond the order
+    for num, den, order in [((0,), (), 3), ((2, -1), (), 3), ((), (1, 0), 3), ((1,), (1,), -1)]:
+        with pytest.raises(ValidationError):
+            factor_product(num, den, order)
 
 
 def test_series_coefficient_bounds():

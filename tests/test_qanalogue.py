@@ -38,6 +38,19 @@ def test_q_binomial_examples():
     assert q_binomial(2, 1).coeffs == (1, 1)
 
 
+def test_q_binomial_long_row():
+    # deeper than the interpreter's recursion limit allows a recursive route to go
+    assert q_binomial(1500, 1).coeffs == (1,) * 1500
+    assert q_binomial(1500, 1499) == q_binomial(1500, 1)
+
+
+def test_q_binomial_large_central():
+    # the Pascal triangle below (400, 200) would not fit in memory
+    poly = q_binomial(400, 200)
+    assert poly.degree == 200 * 200
+    assert sum(poly.coeffs) == math.comb(400, 200)
+
+
 def test_q_binomial_rejects_bad_args():
     with pytest.raises(ValidationError):
         q_binomial(3, 4)
