@@ -34,7 +34,6 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .denumerant import (
@@ -134,10 +133,6 @@ def _parse_shape(n: int, d_text: str) -> FlagShape:
     return FlagShape(n, d)
 
 
-def _fraction_str(value: Fraction) -> str:
-    return str(value)
-
-
 def _distribution_record(kind: str, params: dict, poly: IntPoly) -> OutputRecord:
     rows = tuple((str(k), str(c)) for k, c in enumerate(poly.coeffs))
     return OutputRecord(kind, params, ("k", "count"), rows)
@@ -187,7 +182,7 @@ def _cmd_inv(args) -> tuple[OutputRecord, int]:
     if args.method == "table":
         value = mahonian_table(shape).value(args.k)
     elif args.method == "denumerant":
-        value = mahonian_via_denumerant(shape, args.k, cap=args.cap)
+        value = mahonian_via_denumerant(shape, args.k)
     else:
         if shape.d != FlagShape.full(args.n).d:
             raise ValidationError(
@@ -221,7 +216,7 @@ def _cmd_bounds(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
     lower, upper = inv_bounds(shape, args.k)
     params = {"n": str(args.n), "d": [str(x) for x in shape.d], "k": str(args.k)}
-    rows = (("lower", _fraction_str(lower)), ("upper", _fraction_str(upper)))
+    rows = (("lower", str(lower)), ("upper", str(upper)))
     return OutputRecord("bounds", params, ("bound", "value"), rows), EXIT_OK
 
 
@@ -356,6 +351,8 @@ def _build_parser(default_cap: int) -> _Parser:
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, execute one command, write its output; returns exit status."""
+    if hasattr(sys, "set_int_max_str_digits"):  # exact answers may exceed 4300 digits
+        sys.set_int_max_str_digits(0)
     default_cap = DEFAULT_CAP
     env_cap = os.environ.get("QCOMB_CAP")
     if env_cap is not None:

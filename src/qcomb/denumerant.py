@@ -70,14 +70,22 @@ class PsiTable:
         object.__setattr__(self, "values", tuple(values))
 
     @classmethod
-    @lru_cache(maxsize=None)
     def for_n(cls, n: int) -> PsiTable:
-        return cls(n, tuple(factor_product(range(1, n + 1), (), n * (n + 1) // 2)))
+        return cls(n, tuple(psi_prefix(n, n * (n + 1) // 2)))
 
     def value(self, r: int) -> int:
         if 0 <= r < len(self.values):
             return self.values[r]
         return 0
+
+
+def psi_prefix(n: int, order: int) -> list[int]:
+    """psi_n(0), ..., psi_n(order): the coefficients of f_n(t) through t^order.
+
+    Factors (1 - t^i) with i > order cannot reach t^order, so only the first
+    min(n, order) are expanded.
+    """
+    return factor_product(range(1, min(n, order) + 1), (), order)
 
 
 def denumerant(w: WeightVector, m: int) -> int:
@@ -96,26 +104,12 @@ def epsilon_weights(shape: FlagShape) -> WeightVector:
 
 
 def restricted_divisor_sum(n: int, k: int) -> int:
-    """Sum of the divisors of k that are at most n.
-
-    Evaluated both from the divisor definition and from the equivalent
-    floor expression sum_{d<=min(n,k)} floor(1 + floor(k/d) - k/d) * d;
-    a disagreement would be an arithmetic bug and is reported loudly.
-    """
+    """Sum of the divisors of k that are at most n."""
     if n < 1:
         raise ValidationError("divisor bound must be a positive integer")
     if k < 1:
         raise ValidationError("restricted divisor sum requires k >= 1")
-    by_divisors = sum(d for d in range(1, min(n, k) + 1) if k % d == 0)
-    by_floors = sum(
-        math.floor(1 + (k // d) - Fraction(k, d)) * d for d in range(1, min(n, k) + 1)
-    )
-    if by_divisors != by_floors:
-        raise RuntimeError(
-            f"restricted divisor sum mismatch for n={n}, k={k}: "
-            f"{by_divisors} (divisors) vs {by_floors} (floor form)"
-        )
-    return by_divisors
+    return sum(d for d in range(1, min(n, k) + 1) if k % d == 0)
 
 
 def alpha(n: int, k: int) -> Fraction:
@@ -179,7 +173,7 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
     if r < 0 or r > top:
         return 0
     if method == "fn-coefficients":
-        return factor_product(range(1, min(n, r) + 1), (), r)[r]
+        return psi_prefix(n, r)[r]
     if method == "subset-oracle":
         check_cap(1 << n, cap, "signed subset enumeration")
         return _subset_signed_histogram(n)[r]
@@ -196,14 +190,6 @@ def generalized_binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def _subset_sums_signed(r: int) -> list[tuple[int, int]]:
-    # (element sum, sign) for every subset of [r]
-    out = [(0, 1)]
-    for i in range(1, r + 1):
-        out += [(total + i, -sign) for total, sign in out]
-    return out
-
-
 def signed_subset_identity_check(r: int, w: WeightVector, order: int) -> bool:
     """Check that multiplying the weight-reciprocal series by (1-t)...(1-t^r)
     matches the signed subset-shift sum of denumerants, through t^order."""
@@ -218,37 +204,21 @@ def signed_subset_identity_check(r: int, w: WeightVector, order: int) -> bool:
     def d(m: int) -> int:
         return series.coefficient(m) if m >= 0 else 0
 
-    shifts = _subset_sums_signed(r)
+    hist = _subset_signed_histogram(r)
     return all(
-        lhs.coefficient(m) == sum(sign * d(m - total) for total, sign in shifts)
+        lhs.coefficient(m) == sum(c * d(m - total) for total, c in enumerate(hist))
         for m in range(order + 1)
     )
 
 
-def mahonian_via_denumerant(shape: FlagShape, k: int, cap: int = DEFAULT_CAP) -> int:
+def mahonian_via_denumerant(shape: FlagShape, k: int) -> int:
     """Count words of the given block content with exactly k inversions,
-    via the convolution of psi with the per-block ramp denumerant.
-
-    Both printed forms (the signed sum over subsets of [n] and the psi
-    convolution) are evaluated and must agree.
-    """
+    via the convolution of psi with the per-block ramp denumerant."""
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
-    n = shape.n
-    check_cap(1 << n, cap, "signed subset enumeration")
-    series = series_reciprocal_product(epsilon_weights(shape).weights, k)
-
-    def d(m: int) -> int:
-        return series.coefficient(m) if m >= 0 else 0
-
-    table = PsiTable.for_n(n)
-    by_convolution = sum(table.value(i) * d(k - i) for i in range(0, min(k, len(table.values) - 1) + 1))
-    by_subsets = sum(sign * d(k - total) for total, sign in _subset_sums_signed(n))
-    if by_convolution != by_subsets:
-        raise RuntimeError(
-            f"signed-subset and psi-convolution forms disagree for {shape}, k={k}"
-        )
-    return by_convolution
+    coeffs = psi_prefix(shape.n, k)
+    series = factor_product((), epsilon_weights(shape).weights, k)
+    return sum(c * series[k - i] for i, c in enumerate(coeffs))
 
 
 def full_mahonian_via_binomials(n: int, k: int) -> int:
@@ -258,11 +228,8 @@ def full_mahonian_via_binomials(n: int, k: int) -> int:
         raise ValidationError("n must be a positive integer")
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
-    table = PsiTable.for_n(n)
-    return sum(
-        table.value(i) * generalized_binomial(n - 1 + k - i, n - 1)
-        for i in range(0, min(k, len(table.values) - 1) + 1)
-    )
+    coeffs = psi_prefix(n, min(k, n * (n + 1) // 2))
+    return sum(c * generalized_binomial(n - 1 + k - i, n - 1) for i, c in enumerate(coeffs))
 
 
 def quasipolynomial_check(w: WeightVector, m0: int, samples: int) -> bool:

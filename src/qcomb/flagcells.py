@@ -387,27 +387,21 @@ def cell_form(
     if A.rank() != n:
         raise ValidationError("matrix is singular")
     cuts = shape.cuts
-    reduced_blocks: list[FpMatrix] = []
+    stacked: FpMatrix | None = None  # the reduced blocks so far, side by side
     sigma_blocks: list[tuple[int, ...]] = []
     claimed: list[int] = []  # pivot rows in block order, 1-based
     for m in range(shape.r + 1):
         block = A.column_block(cuts[m], cuts[m + 1])
-        if claimed:
-            prev = reduced_blocks[0]
-            for extra in reduced_blocks[1:]:
-                prev = prev.hstack(extra)
+        if stacked is not None:
             rows0 = [x - 1 for x in claimed]
-            # prev restricted to claimed rows is unitriangular by blocks,
+            # stacked restricted to claimed rows is unitriangular by blocks,
             # so the correction below always has a unique solution
-            correction = prev.select_rows(rows0).solve(-block.select_rows(rows0))
-            block = block + prev @ correction
+            correction = stacked.select_rows(rows0).solve(-block.select_rows(rows0))
+            block = block + stacked @ correction
         pivots, reduced, _ = s_reduce(block, anti=anti)
-        reduced_blocks.append(reduced)
+        stacked = reduced if stacked is None else stacked.hstack(reduced)
         sigma_blocks.append(pivots)
         claimed.extend(pivots)
-    stacked = reduced_blocks[0]
-    for extra in reduced_blocks[1:]:
-        stacked = stacked.hstack(extra)
     sigma = OrderedSetPartition(shape, tuple(sigma_blocks))
     g = A.inverse() @ stacked
     return sigma, CellForm(sigma, stacked, anti), g
@@ -549,22 +543,12 @@ def flag_count_group_formula(shape: FlagShape, p: int) -> int:
 def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator[FpMatrix]:
     """All invertible n x n matrices over F_p, in a fixed order.
 
-    For p = 2 and small n, rejection over all bit matrices; otherwise
-    row-by-row construction that only extends independent row sets.
+    Built row by row, each new row taken from outside the span of the
+    rows before it.
     """
     _require_prime(p)
     order = math.prod(p**n - p**i for i in range(n))
     check_cap(order, cap, "general linear group enumeration")
-    if p == 2 and n <= 4:
-        for bits in range(1 << (n * n)):
-            rows = [
-                [(bits >> (i * n + j)) & 1 for j in range(n)] for i in range(n)
-            ]
-            m = FpMatrix(2, rows)
-            if m.rank() == n:
-                yield m
-        return
-
     vectors = list(itertools.product(range(p), repeat=n))
 
     def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> Iterator[FpMatrix]:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .denumerant import PsiTable, generalized_binomial
+from .denumerant import generalized_binomial, psi_prefix
 from .errors import DEFAULT_CAP, ValidationError, check_cap
 from .polycore import IntPoly, factor_product
 from .qanalogue import FlagShape, q_multinomial
@@ -202,19 +202,15 @@ def inv_bounds(shape: FlagShape, k: int) -> tuple[Fraction, Fraction]:
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
     n = shape.n
-    table = PsiTable.for_n(n)
+    psi = psi_prefix(n, k)
     eta = shape.eta
     divisor = math.prod(math.factorial(e) for e in shape.block_sizes)
     plain = [generalized_binomial(n - 1 + k - i, n - 1) for i in range(k + 1)]
     shifted = [generalized_binomial(n - 1 + eta + k - i, n - 1) for i in range(k + 1)]
-    positive = [i for i in range(k + 1) if table.value(i) > 0]
-    negative = [i for i in range(1, k + 1) if table.value(i) < 0]
-    lower = sum(table.value(i) * plain[i] for i in positive) + sum(
-        table.value(i) * shifted[i] for i in negative
-    )
-    upper = sum(table.value(i) * plain[i] for i in negative) + sum(
-        table.value(i) * shifted[i] for i in positive
-    )
+    positive = [i for i in range(k + 1) if psi[i] > 0]
+    negative = [i for i in range(k + 1) if psi[i] < 0]
+    lower = sum(psi[i] * plain[i] for i in positive) + sum(psi[i] * shifted[i] for i in negative)
+    upper = sum(psi[i] * plain[i] for i in negative) + sum(psi[i] * shifted[i] for i in positive)
     return Fraction(lower, divisor), Fraction(upper, divisor)
 
 

@@ -199,19 +199,10 @@ class TruncatedSeries:
         object.__setattr__(self, "coeffs", data)
         object.__setattr__(self, "order", order)
 
-    @classmethod
-    def from_poly(cls, p: IntPoly, order: int) -> TruncatedSeries:
-        return cls(tuple(p.coefficient(i) for i in range(order + 1)), order)
-
     def coefficient(self, m: int) -> int:
         if not 0 <= m <= self.order:
             raise ValidationError(f"coefficient index {m} outside truncation order {self.order}")
         return self.coeffs[m]
-
-    def truncated(self, new_order: int) -> TruncatedSeries:
-        if new_order > self.order:
-            raise ValidationError("cannot extend a truncated series")
-        return TruncatedSeries(self.coeffs[: new_order + 1], new_order)
 
     def mul_poly(self, p: IntPoly) -> TruncatedSeries:
         out = [0] * (self.order + 1)

@@ -90,16 +90,6 @@ class FlagShape:
             total //= math.factorial(e)
         return total
 
-    def block_of_position(self, j: int) -> int:
-        """1-based block index of position j in [n]."""
-        if not 1 <= j <= self.n:
-            raise ValidationError(f"position {j} outside [1, {self.n}]")
-        c = self.cuts
-        for m in range(len(c) - 1):
-            if c[m] < j <= c[m + 1]:
-                return m + 1
-        raise AssertionError("unreachable")
-
 
 def all_shapes(n: int) -> Iterator[FlagShape]:
     """Every FlagShape on n, cut sequences in size-then-lex order."""

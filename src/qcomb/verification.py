@@ -9,8 +9,10 @@ compared so that a passing run is auditable.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator
 
 from .denumerant import (
@@ -24,9 +26,10 @@ from .denumerant import (
     mahonian_via_denumerant,
     psi,
     quasipolynomial_check,
+    restricted_divisor_sum,
     signed_subset_identity_check,
 )
-from .errors import DEFAULT_CAP
+from .errors import DEFAULT_CAP, ValidationError
 from .flagcells import (
     FpMatrix,
     cell_form,
@@ -43,7 +46,6 @@ from .flagcells import (
     theta_word,
 )
 from .inversions import (
-    enumerate_words,
     full_mahonian,
     inv_bounds,
     inversion_count,
@@ -231,7 +233,7 @@ def _check_refinement(max_n: int, cap: int) -> tuple[bool, str]:
 
 def _check_inv_bounds(max_n: int, cap: int) -> tuple[bool, str]:
     cases = 0
-    for n in range(1, min(max_n, 6) + 1):
+    for n in range(1, min(max_n, 7) + 1):
         for shape in all_shapes(n):
             table = mahonian_table(shape)
             for k in range(shape.nu + 1):
@@ -250,12 +252,24 @@ def _check_inv_bounds(max_n: int, cap: int) -> tuple[bool, str]:
 # denumerant suite
 
 
+def _floor_divisor_sum(n: int, k: int) -> int:
+    # floor(1 + floor(k/d) - k/d) is 1 when d divides k and 0 otherwise
+    return sum(math.floor(1 + (k // d) - Fraction(k, d)) * d for d in range(1, min(n, k) + 1))
+
+
 def _check_psi_methods(max_n: int, cap: int) -> tuple[bool, str]:
     cases = 0
     for n in range(1, min(max_n, 12) + 1):
         top = n * (n + 1) // 2
+        # the exp-log route is built from these sums
+        for k in range(1, top + 1):
+            if restricted_divisor_sum(n, k) != _floor_divisor_sum(n, k):
+                return False, f"divisor sum disagrees with its floor form at n={n}, k={k}"
+        table = PsiTable.for_n(n)
         for r in range(top + 1):
-            reference = psi(n, r, "fn-coefficients")
+            reference = table.value(r)
+            if psi(n, r, "fn-coefficients") != reference:
+                return False, f"truncated expansion disagrees at n={n}, r={r}"
             if (1 << n) <= cap and psi(n, r, "subset-oracle", cap=cap) != reference:
                 return False, f"subset oracle disagrees at n={n}, r={r}"
             if psi(n, r, "exp-log") != reference:
@@ -314,7 +328,7 @@ def _check_mahonian_triple(max_n: int, cap: int) -> tuple[bool, str]:
         for shape in all_shapes(n):
             table = mahonian_table(shape)
             for k in range(shape.nu + 1):
-                if mahonian_via_denumerant(shape, k, cap=cap) != table.value(k):
+                if mahonian_via_denumerant(shape, k) != table.value(k):
                     return False, f"denumerant route fails for {shape}, k={k}"
                 cases += 1
     return True, f"{cases} values"
@@ -527,6 +541,8 @@ _CHECKS: dict[str, list[tuple[str, Callable[[int, int], tuple[bool, str]]]]] = {
 
 def run_suite(suite: str, max_n: int = 6, cap: int = DEFAULT_CAP) -> list[CheckResult]:
     """Run one suite (or 'all'); returns one result per check, in order."""
+    if max_n < 1:
+        raise ValidationError(f"max_n must be a positive integer, got {max_n}")
     if suite == "all":
         names = list(SUITE_NAMES)
     elif suite in _CHECKS:

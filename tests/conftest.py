@@ -1,0 +1,50 @@
+import functools
+
+import pytest
+
+from qcomb.errors import DEFAULT_CAP
+from qcomb.verification import _CHECKS
+
+CHECKS = {name: check for checks in _CHECKS.values() for name, check in checks}
+
+# The max_n each check runs at in the tests (6 when not listed), chosen so
+# that its sweep covers the acceptance criterion or test that relies on it.
+SWEEP_MAX_N = {
+    "recurrence-vs-quotient": 14,
+    "palindrome-and-symmetry": 14,
+    "partition-coefficients": 10,
+    "bounded-multiset-sums": 10,
+    "degree-and-total": 7,
+    "oracle-vs-qmultinomial": 8,
+    "rowsum-recurrence": 12,
+    "full-log-concavity": 10,
+    "refinement-recurrence": 7,
+    "rational-bounds": 7,
+    "psi-four-methods": 12,
+    "psi-symmetry-and-bound": 12,
+    "binomial-route": 10,
+    "word-transport": 7,
+    "anti-vs-straight": 7,
+    "prescribed-dimension": 8,
+}
+
+
+@functools.cache
+def _sweep(name):
+    return CHECKS[name](SWEEP_MAX_N.get(name, 6), DEFAULT_CAP)
+
+
+@pytest.fixture(scope="session")
+def verify_check():
+    """Assert that the named registry checks pass at their sweep sizes.
+
+    Results are shared for the whole session, so each check runs once
+    however many tests rely on it.
+    """
+
+    def assert_pass(*names):
+        for name in names:
+            passed, detail = _sweep(name)
+            assert passed, f"{name}: {detail}"
+
+    return assert_pass

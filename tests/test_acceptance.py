@@ -3,58 +3,37 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
 criterion.  Every expected value is either a published reference value or
 was computed by an independent oracle (brute-force enumeration, dynamic
-programming, exact series arithmetic) before being frozen here.
+programming, exact series arithmetic) before being frozen here.  The sweeps
+are the `verify` registry checks, run through the `verify_check` fixture at
+sizes that cover each criterion (see `conftest.py`).
 """
 
 import functools
-import itertools
-import math
 from fractions import Fraction
 
 from qcomb import (
     FlagShape,
     FpMatrix,
     IntPoly,
-    PsiTable,
-    WeightVector,
-    all_shapes,
     cell_form,
-    cell_sum_poly,
-    denumerant,
-    denumerant_bounds,
     enumerate_flags,
     enumerate_general_linear,
-    enumerate_partitions,
-    epsilon_weights,
-    flag_count_group_formula,
     full_mahonian,
     full_mahonian_via_binomials,
     inv_bounds,
-    inversion_count,
-    inversion_distribution_oracle,
     is_parabolic_member,
     log_concavity_scan,
     mahonian_table,
-    multiset_sum_poly,
-    partition_count,
     psi,
-    q_binomial,
-    q_factorial,
-    q_multinomial,
-    quasipolynomial_check,
-    signed_subset_identity_check,
-    sigma_stats,
-    tau_for_lambda,
-    theta_word,
 )
 
 
 def criterion(cid, title):
     def decorate(fn):
         @functools.wraps(fn)
-        def wrapper():
+        def wrapper(*args, **kwargs):
             try:
-                fn()
+                fn(*args, **kwargs)
             except BaseException:
                 print(f"[criterion {cid:>2}] {title}: FAIL")
                 raise
@@ -66,10 +45,8 @@ def criterion(cid, title):
 
 
 @criterion(1, "inversion oracle equals q-multinomial for every shape with n <= 8")
-def test_c01_mahonian_oracle_equivalence():
-    for n in range(1, 9):
-        for shape in all_shapes(n):
-            assert inversion_distribution_oracle(shape) == q_multinomial(shape), shape
+def test_c01_mahonian_oracle_equivalence(verify_check):
+    verify_check("oracle-vs-qmultinomial")
 
 
 @criterion(2, "reference inversion counts and the prefix log-concavity failure")
@@ -98,55 +75,36 @@ def test_c02_reference_values():
 
 
 @criterion(3, "psi values, four-method agreement, symmetry and binomial bound to n = 12")
-def test_c03_psi_suite():
+def test_c03_psi_suite(verify_check):
     assert psi(6, 5) == 1 and psi(6, 6) == 0 and psi(6, 7) == 2
-    for n in range(1, 13):
-        top = n * (n + 1) // 2
-        table = PsiTable.for_n(n)
-        sign = (-1) ** n
-        for r in range(top + 1):
-            reference = table.value(r)
-            assert psi(n, r, "fn-coefficients") == reference
-            assert psi(n, r, "subset-oracle") == reference  # 2^n <= 4096 here
-            assert psi(n, r, "exp-log") == reference
-            if 1 <= r <= n:
-                assert psi(n, r, "pentagonal") == reference
-            assert reference == sign * table.value(top - r)
-            assert abs(reference) <= math.comb(n - 1 + r, n - 1)
+    verify_check("psi-four-methods", "psi-symmetry-and-bound")
 
 
 @criterion(4, "flag counting triangle for n <= 4 over F_2 and F_3")
-def test_c04_flag_counting_triangle():
+def test_c04_flag_counting_triangle(verify_check):
     assert len(enumerate_flags(FlagShape(2, (1,)), 2)) == 3
     assert len(enumerate_flags(FlagShape(3, (1, 2)), 2)) == 21
     assert len(enumerate_flags(FlagShape(4, (2,)), 2)) == 35
-    for n in range(1, 5):
-        for shape in all_shapes(n):
-            for p in (2, 3):
-                brute = len(enumerate_flags(shape, p))
-                assert brute == flag_count_group_formula(shape, p)
-                assert brute == q_multinomial(shape).eval_at(p)
-                assert brute == cell_sum_poly(shape).eval_at(p)
+    verify_check("counting-triangle")
 
 
 @criterion(5, "exhaustive cell decomposition of the 168 invertible 3x3 matrices over F_2")
-def test_c05_cell_decomposition():
+def test_c05_cell_decomposition(verify_check):
+    # parabolic transitions, the normal-form pattern, free entries = lam,
+    # and the number and sizes of the cosets
+    verify_check("cell-decomposition")
     group = list(enumerate_general_linear(3, 2))
     assert len(group) == 168
     inverses = [m.inverse() for m in group]
     for d in [(1,), (2,), (1, 2)]:
         shape = FlagShape(3, d)
         form_of = []
-        distinct = {}
+        distinct = set()
         for matrix in group:
-            sigma, form, g = cell_form(matrix, shape)
-            assert is_parabolic_member(g, shape)
+            _, form, g = cell_form(matrix, shape)
             assert (matrix @ g).entries == form.matrix.entries
-            assert form.matches_pattern()
-            assert form.free_entry_count() == sigma_stats(sigma).lam
             form_of.append(form.matrix.entries)
-            distinct[form.matrix.entries] = sigma
-        assert len(distinct) == q_multinomial(shape).eval_at(2)
+            distinct.add(form.matrix.entries)
         # idempotence on every representative
         for entries in distinct:
             sigma, form, g = cell_form(FpMatrix(2, entries), shape)
@@ -161,53 +119,22 @@ def test_c05_cell_decomposition():
 
 
 @criterion(6, "word transport is a dimension-preserving bijection for n <= 7")
-def test_c06_bijection_transport():
-    for n in range(1, 8):
-        for shape in all_shapes(n):
-            words = set()
-            for sigma in enumerate_partitions(shape):
-                word = theta_word(sigma)
-                assert inversion_count(word) == sigma_stats(sigma).lam
-                words.add(word.letters)
-            assert len(words) == shape.multinomial()
-            straight = cell_sum_poly(shape)
-            assert straight == cell_sum_poly(shape, anti=True)
-            assert straight == q_multinomial(shape)
+def test_c06_bijection_transport(verify_check):
+    verify_check("word-transport", "anti-vs-straight")
 
 
 @criterion(7, "signed subset identity to order 30 for r = 0..4 and four weight vectors")
-def test_c07_signed_subset_identity():
-    vectors = [
-        WeightVector.ones(4),
-        WeightVector((1, 2, 3)),
-        WeightVector((2, 3)),
-        epsilon_weights(FlagShape(5, (2,))),
-    ]
-    for r in range(5):
-        for w in vectors:
-            assert signed_subset_identity_check(r, w, 30)
+def test_c07_signed_subset_identity(verify_check):
+    verify_check("signed-subset-identity")
 
 
 @criterion(8, "refinement recurrence reconstructs every table for n <= 7")
-def test_c08_refinement_recurrence():
-    from qcomb import refinement_recurrence
-
-    for n in range(1, 8):
-        for shape in all_shapes(n):
-            fixed = set(shape.d)
-            extras = [x for x in range(1, n) if x not in fixed]
-            for count in range(len(extras) + 1):
-                for added in itertools.combinations(extras, count):
-                    refined = FlagShape(n, tuple(sorted(fixed | set(added))))
-                    direct = mahonian_table(shape)
-                    assert refinement_recurrence(shape, refined).counts == direct.counts
-                    finer = mahonian_table(refined)
-                    for k in range(shape.nu + 1):
-                        assert direct.value(k) <= finer.value(k)
+def test_c08_refinement_recurrence(verify_check):
+    verify_check("refinement-recurrence")
 
 
 @criterion(9, "rational bounds: exact reference values, sign behaviour, sandwiches")
-def test_c09_bounds():
+def test_c09_bounds(verify_check):
     assert inv_bounds(FlagShape(5, (1, 2)), 6)[1] == 104
     assert inv_bounds(FlagShape(5, (1, 2, 3)), 6)[1] == 77
     assert inv_bounds(FlagShape(5, (2,)), 6)[1] < 84
@@ -216,63 +143,30 @@ def test_c09_bounds():
     upper20 = inv_bounds(FlagShape(10, (1,)), 20)[1]
     assert upper12 < 44871 and upper12 < full10.value(12) == 47043
     assert upper20 < 182032 and upper20 < full10.value(20) == 230131
-    for n in range(3, 8):
-        for shape in all_shapes(n):
-            if shape.eta < 1:
-                continue
-            for k in range(2, shape.nu + 1):
-                assert inv_bounds(shape, k)[0] <= 0
-    for n in range(1, 7):
-        for shape in all_shapes(n):
-            weights = epsilon_weights(shape)
-            for m in range(31):
-                lower, upper = denumerant_bounds(shape, m)
-                assert lower <= denumerant(weights, m) <= upper
+    # sandwiches, and lower bounds <= 0 for k >= 2 on shapes with eta >= 1
+    verify_check("rational-bounds", "denumerant-bounds")
 
 
 @criterion(10, "prescribed-dimension partitions hit every target for n <= 8")
-def test_c10_tau_construction():
-    for n in range(2, 9):
-        for d1 in range(1, n):
-            for k in range(d1 * (n - d1) + 1):
-                assert sigma_stats(tau_for_lambda(n, d1, k)).lam == k
+def test_c10_tau_construction(verify_check):
+    verify_check("prescribed-dimension")
 
 
 @criterion(11, "structural suites: recurrences, oracles, differences, row sums")
-def test_c11_structural_suites():
-    # Pascal-type recurrence equals the factorial quotient, n <= 14
-    for n in range(15):
-        for e in range(n + 1):
-            quotient = q_factorial(n).exact_quotient(q_factorial(e) * q_factorial(n - e))
-            assert q_binomial(n, e) == quotient
-            poly = q_binomial(n, e)
-            assert poly.reverse(e * (n - e)) == poly
-            assert poly == q_binomial(n, n - e)
-    # partition and bounded-multiset oracles, n <= 10
-    for n in range(11):
-        for e in range(n + 1):
-            poly = q_binomial(n, e)
-            for m in range(e * (n - e) + 1):
-                assert poly.coefficient(m) == partition_count(e, n - e, m)
-            if n >= 1:
-                assert multiset_sum_poly(e, n - e) == poly
-    # unit-weight denumerants are binomial coefficients, n <= 6, m <= 30
-    for n in range(1, 7):
-        for m in range(31):
-            assert denumerant(WeightVector.ones(n), m) == math.comb(n - 1 + m, n - 1)
-    # vanishing finite differences of the counting quasi-polynomials
-    for weights in [(1, 2), (2, 3), (1, 2, 3)]:
-        assert quasipolynomial_check(WeightVector(weights), 0, 20)
-    # row-sum recurrence and log-concavity of the permutation tables, n <= 10
+def test_c11_structural_suites(verify_check):
+    verify_check(
+        "recurrence-vs-quotient",  # Pascal-type recurrence = factorial quotient, n <= 14
+        "palindrome-and-symmetry",
+        "partition-coefficients",  # partition and bounded-multiset oracles, n <= 10
+        "bounded-multiset-sums",
+        "unit-weight-denumerant",  # binomial coefficients, n <= 6, m <= 30
+        "quasipolynomial-differences",
+        "rowsum-recurrence",  # permutation tables, n <= 10
+        "full-log-concavity",
+    )
     for n in range(2, 11):
-        current = full_mahonian(n)
-        previous = full_mahonian(n - 1)
-        for k in range(n * (n - 1) // 2 + 1):
-            assert current.value(k) == sum(
-                previous.value(j) for j in range(max(0, k - n + 1), k + 1)
-            )
-        assert log_concavity_scan(current.counts) == []
-        assert current.counts == current.counts[::-1]
+        counts = full_mahonian(n).counts
+        assert counts == counts[::-1]
 
 
 def test_mean_runtime_note():

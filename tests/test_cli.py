@@ -1,13 +1,20 @@
 import json
+import math
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from qcomb import cli
+from qcomb.errors import ValidationError
 from qcomb.verification import CheckResult
+
+if hasattr(sys, "set_int_max_str_digits"):  # some expected values below exceed 4300 digits
+    sys.set_int_max_str_digits(0)
 
 
 def run_cli(argv, capsys):
@@ -145,9 +152,10 @@ def test_final_cut_equal_to_n_is_dropped_with_notice(capsys):
 
 
 def test_validation_error_exit_code(capsys):
-    code, _, err = run_cli(["invdist", "3", "--d", "2,1"], capsys)
-    assert code == 1
-    assert "error" in err
+    for argv in (["invdist", "3", "--d", "2,1"], ["verify", "--max-n", "-1"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert "error" in err
 
 
 def test_resource_error_exit_code(capsys):
@@ -170,14 +178,22 @@ def test_verify_passes(capsys):
 
 
 def test_run_suite_all_passes_and_rejects_unknown():
+    # every row of `--suite all` is pinned in test_verification.py
     from qcomb.verification import run_suite
 
-    results = run_suite("all", max_n=4)
-    assert results and all(res.passed for res in results)
-    suites = {res.suite for res in results}
-    assert suites == {"qanalogue", "inversions", "denumerant", "flagcells"}
     with pytest.raises(ValueError):
         run_suite("nonsense")
+    for max_n in (0, -1):
+        with pytest.raises(ValidationError):
+            run_suite("all", max_n=max_n)
+
+
+def test_readme_examples_match_golden_output(capsys):
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    assert len(golden) == 13
+    for case in golden:
+        code, out, _ = run_cli(case["argv"], capsys)
+        assert (code, out) == (case["exit"], case["stdout"]), case["argv"]
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -228,12 +244,43 @@ def test_module_entry_point():
     assert proc.stdout == "value\n2\n"
 
 
+def _gaussian_binomial_at(n, e, q):
+    # prod_{i<e} (q^(n-i) - 1) / (q^(i+1) - 1), an exact integer
+    num = math.prod(q ** (n - i) - 1 for i in range(e))
+    den = math.prod(q ** (i + 1) - 1 for i in range(e))
+    return num // den
+
+
+def _single_block_lower_bound(n, k):
+    # psi_n(0..5) = 1, -1, -1, 0, 0, 1 by Euler's pentagonal theorem (n >= 5);
+    # positive coefficients take the plain binomials, negative ones the
+    # binomials stretched by eta = n(n-1)/2, all over n!
+    psi = (1, -1, -1, 0, 0, 1)
+    eta = n * (n - 1) // 2
+    total = sum(
+        c * math.comb(n - 1 + (eta if c < 0 else 0) + k - i, n - 1) for i, c in enumerate(psi[: k + 1])
+    )
+    return Fraction(total, math.factorial(n))
+
+
 @pytest.mark.parametrize(
     "argv, code, first_row",
     [
         (["qbinom", "1500", "1"], 0, "0     1"),
-        (["inv", "300", "--k", "5", "--method", "denumerant"], 2, None),
+        (["inv", "300", "--k", "5", "--method", "denumerant"], 0, "0"),
         (["psi", "5000", "3"], 0, "0"),
+        pytest.param(
+            ["qbinom", "200", "100", "--eval", "10"],
+            0,
+            str(_gaussian_binomial_at(200, 100, 10)),
+            id="qbinom-value-over-4300-digits",
+        ),
+        pytest.param(
+            ["bounds", "2000", "--k", "5"],
+            0,
+            f"lower  {_single_block_lower_bound(2000, 5)}",
+            id="bounds-divisor-over-4300-digits",
+        ),
     ],
 )
 def test_large_arguments_end_quickly(argv, code, first_row):
@@ -242,7 +289,4 @@ def test_large_arguments_end_quickly(argv, code, first_row):
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    if first_row is None:
-        assert proc.stdout == "" and "resource limit" in proc.stderr
-    else:
-        assert proc.stdout.splitlines()[1] == first_row
+    assert proc.stdout.splitlines()[1] == first_row

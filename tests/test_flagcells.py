@@ -240,18 +240,6 @@ def test_theta_word_examples():
     assert sigma_stats(sigma).lam == 0
 
 
-def test_theta_bijection_and_transport_to_n6():
-    # n = 7 is covered by the acceptance suite
-    for n in range(1, 7):
-        for shape in all_shapes(n):
-            words = set()
-            for sigma in enumerate_partitions(shape):
-                word = theta_word(sigma)
-                assert inversion_count(word) == sigma_stats(sigma).lam
-                words.add(word.letters)
-            assert len(words) == shape.multinomial()
-
-
 def test_anti_dimension_is_inversion_count_of_derived_permutation():
     for n in range(1, 7):
         for shape in all_shapes(n):
@@ -262,11 +250,7 @@ def test_anti_dimension_is_inversion_count_of_derived_permutation():
 
 def test_cell_sum_examples():
     assert cell_sum_poly(FlagShape(2, (1,))).coeffs == (1, 1)
-    for n in range(1, 7):
-        for shape in all_shapes(n):
-            straight = cell_sum_poly(shape)
-            assert straight == q_multinomial(shape)
-            assert cell_sum_poly(shape, anti=True) == straight
+    assert cell_sum_poly(FlagShape(3, (1,)), anti=True).coeffs == (1, 1, 1)
 
 
 def test_tau_examples():
@@ -279,13 +263,6 @@ def test_tau_examples():
         tau_for_lambda(4, 2, 5)
     with pytest.raises(ValidationError):
         tau_for_lambda(4, 4, 0)
-
-
-def test_tau_sweep():
-    for n in range(2, 9):
-        for d1 in range(1, n):
-            for k in range(d1 * (n - d1) + 1):
-                assert sigma_stats(tau_for_lambda(n, d1, k)).lam == k
 
 
 # ---------------------------------------------------------------------------
@@ -426,16 +403,6 @@ def test_flag_enumeration_examples():
 def test_flag_enumeration_cap():
     with pytest.raises(ResourceLimitError):
         enumerate_flags(FlagShape.full(4), 3, cap=100)
-
-
-def test_counting_triangle():
-    for n in range(1, 5):
-        for shape in all_shapes(n):
-            for p in (2, 3):
-                brute = len(enumerate_flags(shape, p))
-                assert brute == flag_count_group_formula(shape, p)
-                assert brute == q_multinomial(shape).eval_at(p)
-                assert brute == cell_sum_poly(shape).eval_at(p)
 
 
 def test_group_formula_examples():

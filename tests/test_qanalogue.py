@@ -117,13 +117,6 @@ def test_multiset_sum_cap():
         multiset_sum_poly(30, 30, cap=1000)
 
 
-def test_recurrence_matches_quotient_to_n14():
-    for n in range(15):
-        for e in range(n + 1):
-            quotient = q_factorial(n).exact_quotient(q_factorial(e) * q_factorial(n - e))
-            assert q_binomial(n, e) == quotient
-
-
 def test_palindromicity_and_symmetry():
     for n in range(13):
         for e in range(n + 1):
