@@ -52,7 +52,7 @@ from .flagcells import (
     sigma_stats,
     tau_for_lambda,
 )
-from .inversions import inv_bounds, mahonian_table
+from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_binomial, q_multinomial
 from .verification import SUITE_NAMES, run_suite
@@ -180,7 +180,7 @@ def _cmd_invdist(args) -> tuple[OutputRecord, int]:
 def _cmd_inv(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
     if args.method == "table":
-        value = mahonian_table(shape).value(args.k)
+        value = mahonian_coefficient(shape, args.k)
     elif args.method == "denumerant":
         value = mahonian_via_denumerant(shape, args.k)
     else:
@@ -359,10 +359,15 @@ def run(argv: Sequence[str] | None = None) -> int:
         try:
             default_cap = int(env_cap)
         except ValueError:
-            print(f"qcomb: ignoring non-integer QCOMB_CAP={env_cap!r}", file=sys.stderr)
+            default_cap = 0
+        if default_cap < 1:
+            print(f"qcomb: ignoring QCOMB_CAP={env_cap!r}, not a positive integer", file=sys.stderr)
+            default_cap = DEFAULT_CAP
     parser = _build_parser(default_cap)
     args = parser.parse_args(argv)
     try:
+        if args.cap < 1:
+            raise ValidationError(f"--cap must be a positive integer, got {args.cap}")
         record, status = args.handler(args)
     except ValidationError as exc:
         print(f"qcomb: error: {exc}", file=sys.stderr)

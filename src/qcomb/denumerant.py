@@ -119,20 +119,21 @@ def alpha(n: int, k: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _subset_signed_histogram(n: int) -> tuple[int, ...]:
-    # hist[r] = sum over subsets T of [n] with element sum r of (-1)^|T|
+    # hist[r] = sum over subsets T of [n] with element sum r of (-1)^|T|.
+    # A Gray-code walk visits all 2^n subsets: step s toggles element
+    # i = (s & -s).bit_length(), so the sum and the sign change in O(1);
+    # step[i] is +i while i is out of the subset and -i while it is in.
     hist = [0] * (n * (n + 1) // 2 + 1)
-    for mask in range(1 << n):
-        total = 0
-        bits = 0
-        m = mask
-        i = 1
-        while m:
-            if m & 1:
-                total += i
-                bits += 1
-            m >>= 1
-            i += 1
-        hist[total] += -1 if bits & 1 else 1
+    hist[0] = 1
+    step = list(range(n + 1))
+    total = 0
+    sign = 1
+    for s in range(1, 1 << n):
+        i = (s & -s).bit_length()
+        total += step[i]
+        step[i] = -step[i]
+        sign = -sign
+        hist[total] += sign
     return tuple(hist)
 
 
@@ -213,9 +214,11 @@ def signed_subset_identity_check(r: int, w: WeightVector, order: int) -> bool:
 
 def mahonian_via_denumerant(shape: FlagShape, k: int) -> int:
     """Count words of the given block content with exactly k inversions,
-    via the convolution of psi with the per-block ramp denumerant."""
+    via the convolution of psi with the per-block ramp denumerant; 0 for k > nu."""
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
+    if k > shape.nu:
+        return 0
     coeffs = psi_prefix(shape.n, k)
     series = factor_product((), epsilon_weights(shape).weights, k)
     return sum(c * series[k - i] for i, c in enumerate(coeffs))

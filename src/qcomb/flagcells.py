@@ -10,13 +10,14 @@ zeroed out.  The number of unconstrained entries of that normal form is the
 cell dimension, and transporting the partition to a multiset word turns the
 dimension into an inversion count.
 
-Everything is exact arithmetic over F_p, p prime.
+Everything is exact arithmetic over F_p, p a prime below 2^64.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -26,9 +27,40 @@ from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial
 
 
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+
+
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % q == 0 for q in range(2, int(math.isqrt(p)) + 1)):
+    """Reject p unless it is a prime below 2^64.
+
+    Trial division by the primes up to 37 decides every p < 37^2; above
+    that, a strong-probable-prime test to those twelve bases (deterministic
+    Miller-Rabin) is exact for every p < 2^64.
+    """
+    if p in _SMALL_PRIMES:
+        return
+    if p >= 1 << 64:
+        raise ValidationError(f"modulus must be below 2^64, got {p}")
+    composite = p < 2 or any(p % q == 0 for q in _SMALL_PRIMES)
+    if composite or (p >= 37 * 37 and not _strong_probable_prime(p)):
         raise ValidationError(f"modulus must be prime, got {p}")
+
+
+def _strong_probable_prime(p: int) -> bool:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True, init=False)
@@ -290,18 +322,16 @@ def cell_free_rows(sigma: OrderedSetPartition, anti: bool = False) -> tuple[tupl
 
     Column j has its pivot at row perm[j]; rows belonging to blocks up to
     and including j's block are pinned, and of the remaining rows only
-    those below the pivot (above, for the anti form) are free.
+    those below the pivot (above, for the anti form) are free: a slice of
+    the sorted pool of remaining rows, cut where the pivot would sit.
     """
     remaining = set(range(1, sigma.shape.n + 1))
     out: list[tuple[int, ...]] = []
     for block in sigma.blocks:
         remaining -= set(block)
-        pool = sorted(remaining)
+        pool = tuple(sorted(remaining))
         for v in block:
-            if anti:
-                out.append(tuple(t for t in pool if t < v))
-            else:
-                out.append(tuple(t for t in pool if t > v))
+            out.append(pool[: bisect_left(pool, v)] if anti else pool[bisect_right(pool, v) :])
     return tuple(out)
 
 
@@ -504,7 +534,21 @@ def reduced_echelon_bases(n: int, e: int, p: int) -> Iterator[FpMatrix]:
 
 
 def _contains(big: FpMatrix, small: FpMatrix) -> bool:
-    return big.hstack(small).rank() == big.cols
+    """True iff every column of `small` lies in the column span of `big`.
+
+    `big` must be in reduced column-echelon form, as `reduced_echelon_bases`
+    yields it: column j's first nonzero entry is a 1 on its pivot row, where
+    every other column is 0.  So a vector lies in the span iff it equals the
+    combination of big's columns weighted by its own pivot-row entries.
+    """
+    p, rows, cols = big.p, big.entries, range(big.cols)
+    pivots = [next(i for i, row in enumerate(rows) if row[j]) for j in cols]
+    for k in range(small.cols):
+        weights = [small.entries[i][k] for i in pivots]
+        for row, target in zip(rows, small.entries):
+            if (sum(w * x for w, x in zip(weights, row)) - target[k]) % p:
+                return False
+    return True
 
 
 def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Flag]:
@@ -541,10 +585,10 @@ def flag_count_group_formula(shape: FlagShape, p: int) -> int:
 
 
 def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator[FpMatrix]:
-    """All invertible n x n matrices over F_p, in a fixed order.
+    """All invertible n x n matrices over F_p, sorted by their entries.
 
     Built row by row, each new row taken from outside the span of the
-    rows before it.
+    rows before it; the last row ends the matrix, so its span is never built.
     """
     _require_prime(p)
     order = math.prod(p**n - p**i for i in range(n))
@@ -557,6 +601,9 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
             return
         for vec in vectors:
             if vec in span:
+                continue
+            if len(rows) == n - 1:  # the last row's span would never be read
+                yield FpMatrix(p, rows + [vec])
                 continue
             larger = {
                 tuple((a + c * b) % p for a, b in zip(old, vec))

@@ -10,6 +10,7 @@ alongside for cross-validation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,7 @@ from typing import Iterator, Sequence
 from .denumerant import generalized_binomial, psi_prefix
 from .errors import DEFAULT_CAP, ValidationError, check_cap
 from .polycore import IntPoly, factor_product
-from .qanalogue import FlagShape, q_multinomial
+from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
 
 
 @lru_cache(maxsize=None)
@@ -75,57 +76,45 @@ class MahonianTable:
         return 0
 
 
-def _iter_letter_tuples(remaining: list[int], prefix: list[int], n: int) -> Iterator[tuple[int, ...]]:
-    if len(prefix) == n:
-        yield tuple(prefix)
-        return
-    for letter in range(1, len(remaining) + 1):
-        if remaining[letter - 1]:
-            remaining[letter - 1] -= 1
-            prefix.append(letter)
-            yield from _iter_letter_tuples(remaining, prefix, n)
-            prefix.pop()
-            remaining[letter - 1] += 1
-
-
 def enumerate_words(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[MultisetWord]:
-    """Every word of the given block content, exactly once, in lexicographic order."""
+    """Every word of the given block content, exactly once, in lexicographic order.
+
+    Knuth's Algorithm L (TAOCP Vol. 4A, 7.2.1.2) steps from each word to the
+    next: find the rightmost ascent a[j] < a[j+1], swap a[j] with the
+    smallest larger letter to its right, and reverse the tail after j.
+    """
     check_cap(shape.multinomial(), cap, "multiset word enumeration")
-    for letters in _iter_letter_tuples(list(shape.block_sizes), [], shape.n):
-        yield MultisetWord(letters, shape)
+    a = list(_sorted_letters(shape))
+    while True:
+        yield MultisetWord(a, shape)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
+            return
+        m = len(a) - 1
+        while a[m] <= a[j]:
+            m -= 1
+        a[j], a[m] = a[m], a[j]
+        a[j + 1 :] = reversed(a[j + 1 :])
 
 
 def inversion_count(word: MultisetWord | Sequence[int]) -> int:
     """Number of position pairs i < j whose letters satisfy w[i] > w[j].
 
-    Counted by a mergesort-style divide and conquer; the quadratic counter
-    below is the oracle it is checked against.
+    Reads the word right to left, keeping the letters seen so far sorted:
+    each letter adds the number of smaller letters already seen, found by
+    binary search.  The quadratic counter below is the oracle it is checked
+    against.
     """
     letters = word.letters if isinstance(word, MultisetWord) else tuple(word)
-    total, _ = _merge_count(list(letters))
+    seen: list[int] = []
+    total = 0
+    for x in reversed(letters):
+        i = bisect_left(seen, x)
+        total += i
+        seen.insert(i, x)
     return total
-
-
-def _merge_count(seq: list[int]) -> tuple[int, list[int]]:
-    if len(seq) <= 1:
-        return 0, seq
-    mid = len(seq) // 2
-    left_count, left = _merge_count(seq[:mid])
-    right_count, right = _merge_count(seq[mid:])
-    merged: list[int] = []
-    count = left_count + right_count
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] <= right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            count += len(left) - i
-            merged.append(right[j])
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return count, merged
 
 
 def inversion_count_quadratic(word: MultisetWord | Sequence[int]) -> int:
@@ -148,6 +137,17 @@ def inversion_distribution_oracle(shape: FlagShape, cap: int = DEFAULT_CAP) -> I
 def mahonian_table(shape: FlagShape) -> MahonianTable:
     """Inversion counts read off the q-multinomial coefficient; no enumeration."""
     return MahonianTable(shape, q_multinomial(shape).coeffs)
+
+
+def mahonian_coefficient(shape: FlagShape, k: int) -> int:
+    """I(shape; k) alone, 0 outside 0..nu.
+
+    The row is a palindrome, so the q-multinomial is expanded only through
+    t^min(k, nu - k).
+    """
+    if not 0 <= k <= shape.nu:
+        return 0
+    return q_multinomial_prefix(shape, min(k, shape.nu - k))[-1]
 
 
 def full_mahonian(n: int) -> MahonianTable:

@@ -127,8 +127,13 @@ def q_binomial(n: int, e: int) -> IntPoly:
 
 def q_multinomial(shape: FlagShape) -> IntPoly:
     """[n]! / prod_i [e_i]! over the blocks of `shape`; degree nu."""
+    return IntPoly(q_multinomial_prefix(shape, shape.nu))
+
+
+def q_multinomial_prefix(shape: FlagShape, order: int) -> list[int]:
+    """Coefficients of the q-multinomial of `shape` through t^order."""
     den = [j for e in shape.block_sizes for j in range(1, e + 1)]
-    return IntPoly(factor_product(range(1, shape.n + 1), den, shape.nu))
+    return factor_product(range(1, shape.n + 1), den, order)
 
 
 @lru_cache(maxsize=None)

@@ -52,6 +52,7 @@ from .inversions import (
     inversion_count_quadratic,
     inversion_distribution_oracle,
     log_concavity_scan,
+    mahonian_coefficient,
     mahonian_table,
     refinement_recurrence,
 )
@@ -191,6 +192,9 @@ def _check_table_shape(max_n: int, cap: int) -> tuple[bool, str]:
             table = mahonian_table(shape)  # construction enforces the row invariants
             if table.counts != table.counts[::-1] or min(table.counts) < 1:
                 return False, f"row invariants fail for {shape}"
+            ks = range(-1, shape.nu + 2)
+            if any(mahonian_coefficient(shape, k) != table.value(k) for k in ks):
+                return False, f"single-coefficient read differs from the table for {shape}"
             cases += 1
     return True, f"{cases} tables"
 

@@ -152,7 +152,12 @@ def test_final_cut_equal_to_n_is_dropped_with_notice(capsys):
 
 
 def test_validation_error_exit_code(capsys):
-    for argv in (["invdist", "3", "--d", "2,1"], ["verify", "--max-n", "-1"]):
+    for argv in (
+        ["invdist", "3", "--d", "2,1"],
+        ["verify", "--max-n", "-1"],
+        ["psi", "6", "6", "--cap", "-5"],
+        ["psi", "6", "6", "--cap", "0"],
+    ):
         code, out, err = run_cli(argv, capsys)
         assert code == 1 and out == ""
         assert "error" in err
@@ -232,6 +237,12 @@ def test_env_cap_override(monkeypatch, capsys):
     monkeypatch.setenv("QCOMB_CAP", "5")
     code, out, _ = run_cli(["flags", "3", "--d", "1", "--p", "2", "--cap", "100"], capsys)
     assert code == 0
+    # a value that is not a positive integer is ignored with a warning
+    for value in ("many", "0", "-5"):
+        monkeypatch.setenv("QCOMB_CAP", value)
+        code, out, err = run_cli(["flags", "3", "--d", "1", "--p", "2"], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 7  # the 7 points of P^2(F_2)
+        assert f"ignoring QCOMB_CAP={value!r}" in err
 
 
 def test_module_entry_point():
@@ -280,6 +291,21 @@ def _single_block_lower_bound(n, k):
             0,
             f"lower  {_single_block_lower_bound(2000, 5)}",
             id="bounds-divisor-over-4300-digits",
+        ),
+        # two blocks of 300: words with 5 inversions are counted by p(5) = 7
+        pytest.param(["inv", "600", "--d", "300", "--k", "5"], 0, "7", id="inv-table-truncated"),
+        pytest.param(
+            ["inv", "5", "--k", "1000000", "--method", "denumerant"],
+            0,
+            "0",
+            id="inv-denumerant-k-above-nu",
+        ),
+        # 10^18 + 3 is prime; a one-block shape has exactly one flag
+        pytest.param(
+            ["flags", "2", "--p", "1000000000000000003", "--count-only"],
+            0,
+            "1",
+            id="flags-18-digit-prime",
         ),
     ],
 )

@@ -24,6 +24,7 @@ from qcomb import (
     restricted_divisor_sum,
     signed_subset_identity_check,
 )
+from qcomb.denumerant import _subset_signed_histogram
 
 
 def test_denumerant_examples():
@@ -76,6 +77,15 @@ def test_psi_out_of_range_and_bad_method():
     assert psi(4, 10) == (-1) ** 4  # top coefficient of the degree-10 product
     with pytest.raises(ValidationError):
         psi(4, 2, "magic")
+
+
+def test_subset_histogram_matches_popcount_loop():
+    for n in range(13):
+        hist = [0] * (n * (n + 1) // 2 + 1)
+        for mask in range(1 << n):
+            members = [i for i in range(1, n + 1) if mask >> (i - 1) & 1]
+            hist[sum(members)] += (-1) ** len(members)
+        assert _subset_signed_histogram(n) == tuple(hist)
 
 
 def test_psi_subset_cap():

@@ -31,6 +31,7 @@ from qcomb import (
     tau_for_lambda,
     theta_word,
 )
+from qcomb.flagcells import _contains, _require_prime
 
 RNG_SEED = 52462280
 
@@ -413,9 +414,46 @@ def test_group_formula_examples():
 
 
 def test_gl_enumeration_rejection_matches_order_formula():
-    for n, p in [(2, 2), (3, 2), (2, 3)]:
+    for n, p in [(2, 2), (3, 2), (2, 3), (2, 5)]:
         order = math.prod(p**n - p**i for i in range(n))
-        assert sum(1 for _ in enumerate_general_linear(n, p)) == order
+        group = [m.entries for m in enumerate_general_linear(n, p)]
+        assert group == sorted(set(group))
+        assert len(group) == order
+        assert all(FpMatrix(p, m).rank() == n for m in group)
+
+
+def test_echelon_containment_matches_rank():
+    for p in (2, 3):
+        for n in range(1, 5):
+            bases = [b for e in range(n + 1) for b in reduced_echelon_bases(n, e, p)]
+            for big in bases:
+                for small in bases:
+                    assert _contains(big, small) == (big.hstack(small).rank() == big.cols)
+
+
+def test_require_prime_is_exact():
+    def trial_division(q):
+        return q >= 2 and all(q % d for d in range(2, math.isqrt(q) + 1))
+
+    for q in range(-3, 3000):
+        assert _is_accepted(q) == trial_division(q), q
+    # 10^18 + 3, 10^18 + 9 and the largest prime below 2^64
+    for q in (10**18 + 3, 10**18 + 9, 2**64 - 59):
+        assert _is_accepted(q)
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every base up to 23,
+    # and a product of two primes above 2^30
+    for q in (3215031751, 3825123056546413051, (2**32 - 5) * (2**31 - 1)):
+        assert not _is_accepted(q)
+    with pytest.raises(ValidationError, match="below 2"):
+        FpMatrix(2**64 + 13, [[1]])
+
+
+def _is_accepted(q):
+    try:
+        _require_prime(q)
+    except ValidationError:
+        return False
+    return True
 
 
 @settings(max_examples=40)

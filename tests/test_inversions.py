@@ -20,6 +20,7 @@ from qcomb import (
     inversion_distribution_oracle,
     is_refinement,
     log_concavity_scan,
+    mahonian_coefficient,
     mahonian_table,
     refinement_recurrence,
 )
@@ -34,10 +35,12 @@ def test_enumerate_words_examples():
 
 
 def test_enumerate_words_is_sorted_and_complete():
-    for shape in [FlagShape(5, (2, 4)), FlagShape(4, (1, 2, 3))]:
-        words = [w.letters for w in enumerate_words(shape)]
-        assert words == sorted(words)
-        assert len(set(words)) == len(words) == shape.multinomial()
+    for n in range(1, 7):
+        for shape in all_shapes(n):
+            letters = [i for i, e in enumerate(shape.block_sizes, start=1) for _ in range(e)]
+            words = [w.letters for w in enumerate_words(shape)]
+            assert words == sorted(set(itertools.permutations(letters)))
+            assert len(words) == shape.multinomial()
 
 
 def test_enumerate_words_cap():
@@ -63,7 +66,7 @@ def test_inversion_count_examples():
     assert inversion_count(word) == shape.nu
 
 
-@given(st.lists(st.integers(min_value=1, max_value=6), max_size=30))
+@given(st.lists(st.integers(min_value=1, max_value=20), max_size=200))
 def test_inversion_counters_agree(letters):
     assert inversion_count(letters) == inversion_count_quadratic(letters)
 
@@ -80,6 +83,8 @@ def test_mahonian_table_reference_values():
     full10 = mahonian_table(FlagShape.full(10))
     assert full10.value(12) == 47043
     assert full10.value(20) == 230131
+    for k in (-1, 12, 20, 45 - 20, 46):
+        assert mahonian_coefficient(FlagShape.full(10), k) == full10.value(k)
 
 
 def test_table_invariants_enforced():
