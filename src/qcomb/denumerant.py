@@ -137,7 +137,6 @@ def _subset_signed_histogram(n: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
-@lru_cache(maxsize=None)
 def _exp_log_coefficients(n: int, top: int) -> tuple[Fraction, ...]:
     # exp of L(t) = -sum_k alpha(n, k) t^k, via m*e_m = sum_j (j * l_j) e_{m-j}
     sigma = [0] + [restricted_divisor_sum(n, k) for k in range(1, top + 1)]

@@ -19,6 +19,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import lt, mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap
@@ -79,12 +80,21 @@ class FpMatrix:
         object.__setattr__(self, "entries", data)
 
     @classmethod
-    def identity(cls, p: int, n: int) -> FpMatrix:
-        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+    def _wrap(cls, p: int, entries: tuple[tuple[int, ...], ...]) -> FpMatrix:
+        """A matrix from equal-length tuples of residues mod p, p already checked.
+
+        Results computed from matrices are built this way: their entries are
+        reduced and the modulus is the operands', so the checks of the public
+        constructor would find nothing.
+        """
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "p", p)
+        object.__setattr__(matrix, "entries", entries)
+        return matrix
 
     @classmethod
-    def from_columns(cls, p: int, columns: Sequence[Sequence[int]], nrows: int) -> FpMatrix:
-        return cls(p, [[col[i] for col in columns] for i in range(nrows)])
+    def identity(cls, p: int, n: int) -> FpMatrix:
+        return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def rows(self) -> int:
@@ -101,22 +111,22 @@ class FpMatrix:
         return tuple(row[j] for row in self.entries)
 
     def column_block(self, start: int, stop: int) -> FpMatrix:
-        return FpMatrix(self.p, [row[start:stop] for row in self.entries])
+        return FpMatrix._wrap(self.p, tuple(row[start:stop] for row in self.entries))
 
     def select_rows(self, indices: Sequence[int]) -> FpMatrix:
-        return FpMatrix(self.p, [self.entries[i] for i in indices])
+        return FpMatrix._wrap(self.p, tuple(self.entries[i] for i in indices))
 
     def hstack(self, other: FpMatrix) -> FpMatrix:
         self._check_modulus(other)
         if self.rows != other.rows:
             raise ValidationError("row counts differ in hstack")
-        return FpMatrix(self.p, [a + b for a, b in zip(self.entries, other.entries)])
+        return FpMatrix._wrap(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def flip_rows(self) -> FpMatrix:
-        return FpMatrix(self.p, self.entries[::-1])
+        return FpMatrix._wrap(self.p, self.entries[::-1])
 
     def reverse_columns(self) -> FpMatrix:
-        return FpMatrix(self.p, [row[::-1] for row in self.entries])
+        return FpMatrix._wrap(self.p, tuple(row[::-1] for row in self.entries))
 
     def _check_modulus(self, other: FpMatrix) -> None:
         if self.p != other.p:
@@ -126,16 +136,18 @@ class FpMatrix:
         self._check_modulus(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError("shape mismatch in matrix addition")
-        return FpMatrix(
-            self.p,
-            [
-                [a + b for a, b in zip(ra, rb)]
+        p = self.p
+        return FpMatrix._wrap(
+            p,
+            tuple(
+                tuple((a + b) % p for a, b in zip(ra, rb))
                 for ra, rb in zip(self.entries, other.entries)
-            ],
+            ),
         )
 
     def __neg__(self) -> FpMatrix:
-        return FpMatrix(self.p, [[-x for x in row] for row in self.entries])
+        p = self.p
+        return FpMatrix._wrap(p, tuple(tuple(-x % p for x in row) for row in self.entries))
 
     def __matmul__(self, other: FpMatrix) -> FpMatrix:
         self._check_modulus(other)
@@ -144,32 +156,31 @@ class FpMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         p = self.p
-        out = []
-        for row in self.entries:
-            out_row = []
-            for j in range(other.cols):
-                out_row.append(sum(row[k] * other.entries[k][j] for k in range(self.cols)) % p)
-            out.append(out_row)
-        return FpMatrix(p, out)
+        columns = tuple(zip(*other.entries))
+        return FpMatrix._wrap(
+            p, tuple(tuple(sum(map(mul, row, col)) % p for col in columns) for row in self.entries)
+        )
 
     def rank(self) -> int:
-        """Rank by Gaussian elimination over F_p."""
+        """Rank by forward Gaussian elimination over F_p.
+
+        Each row in turn is cleared at the pivot columns found so far, by
+        multiples of the unscaled pivot rows; if anything is left, its first
+        nonzero entry is a new pivot.  Nothing above a pivot is ever cleared.
+        """
         p = self.p
-        work = [list(row) for row in self.entries]
-        rank = 0
-        for col in range(self.cols):
-            pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-            if pivot is None:
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            inv = pow(work[rank][col], -1, p)
-            work[rank] = [(x * inv) % p for x in work[rank]]
-            for r in range(len(work)):
-                if r != rank and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
-            rank += 1
-        return rank
+        pivots: list[tuple[int, Sequence[int], int]] = []  # column, row, -1/pivot entry
+        for row in self.entries:
+            for col, top, minus_inv in pivots:
+                f = row[col]
+                if f:
+                    f *= minus_inv
+                    row = [(a + f * b) % p for a, b in zip(row, top)]
+            for col, x in enumerate(row):
+                if x:
+                    pivots.append((col, row, p - pow(x, -1, p)))
+                    break
+        return len(pivots)
 
     def inverse(self) -> FpMatrix:
         """Gauss-Jordan inverse; rejects non-square or singular input."""
@@ -189,7 +200,7 @@ class FpMatrix:
                 if r != col and work[r][col]:
                     f = work[r][col]
                     work[r] = [(a - f * b) % p for a, b in zip(work[r], work[col])]
-        return FpMatrix(p, [row[n:] for row in work])
+        return FpMatrix._wrap(p, tuple(tuple(row[n:]) for row in work))
 
     def solve(self, rhs: FpMatrix) -> FpMatrix:
         """X with self @ X = rhs, for square invertible self."""
@@ -239,11 +250,11 @@ def _s_reduce_straight(matrix: FpMatrix) -> tuple[tuple[int, ...], FpMatrix, FpM
                 cols[c2] = [(a - f * b) % p for a, b in zip(cols[c2], cols[j])]
                 gcols[c2] = [(a - f * b) % p for a, b in zip(gcols[c2], gcols[j])]
         pivots.append(row + 1)
-    return (
-        tuple(pivots),
-        FpMatrix.from_columns(p, cols, n),
-        FpMatrix.from_columns(p, gcols, e),
-    )
+    return tuple(pivots), _from_columns(p, cols, n), _from_columns(p, gcols, e)
+
+
+def _from_columns(p: int, columns: list[list[int]], nrows: int) -> FpMatrix:
+    return FpMatrix._wrap(p, tuple(zip(*columns)) if columns else ((),) * nrows)
 
 
 def is_parabolic_member(g: FpMatrix, shape: FlagShape) -> bool:
@@ -262,7 +273,7 @@ def is_parabolic_member(g: FpMatrix, shape: FlagShape) -> bool:
                         return False
     for bi in range(blocks):
         size = c[bi + 1] - c[bi]
-        diag = FpMatrix(g.p, [row[c[bi] : c[bi + 1]] for row in g.entries[c[bi] : c[bi + 1]]])
+        diag = g.select_rows(range(c[bi], c[bi + 1])).column_block(c[bi], c[bi + 1])
         if diag.rank() != size:
             return False
     return True
@@ -276,37 +287,53 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, shape: FlagShape, blocks: Sequence[Sequence[int]]):
-        data = tuple(tuple(int(x) for x in b) for b in blocks)
+        data = tuple(tuple(map(int, b)) for b in blocks)
         sizes = shape.block_sizes
         if len(data) != len(sizes):
             raise ValidationError(f"expected {len(sizes)} blocks, got {len(data)}")
         for block, size in zip(data, sizes):
             if len(block) != size:
                 raise ValidationError(f"block {block} should have {size} elements")
-            if any(block[i] >= block[i + 1] for i in range(len(block) - 1)):
+            if not all(map(lt, block, block[1:])):
                 raise ValidationError(f"block {block} must be strictly increasing")
-        flat = sorted(x for block in data for x in block)
-        if flat != list(range(1, shape.n + 1)):
+        # the sizes add up to n, so n distinct values in 1..n are exactly 1..n
+        seen = set().union(*data)
+        if len(seen) != shape.n or min(seen) < 1 or max(seen) > shape.n:
             raise ValidationError("blocks must partition 1..n")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", data)
 
 
 def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[OrderedSetPartition]:
-    """Every ordered set partition with the shape's block sizes, lex order."""
-    check_cap(shape.multinomial(), cap, "ordered set partition enumeration")
+    """Every ordered set partition with the shape's block sizes, lex order.
 
-    def rec(remaining: tuple[int, ...], sizes: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if not sizes:
-            yield ()
+    Each block but the last is a choice of positions among the elements not
+    yet placed; the choices and the positions each leaves over depend only on
+    the block's level, so they are listed once per level.  The last block
+    takes what is left.
+    """
+    check_cap(shape.multinomial(), cap, "ordered set partition enumeration")
+    splits = []
+    left = shape.n
+    for size in shape.block_sizes[:-1]:
+        positions = range(left)
+        splits.append([
+            (chosen, tuple(i for i in positions if i not in chosen))
+            for chosen in itertools.combinations(positions, size)
+        ])
+        left -= size
+
+    def rec(remaining: tuple[int, ...], level: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+        if level == len(splits):
+            yield (remaining,)
             return
-        for first in itertools.combinations(remaining, sizes[0]):
-            chosen = set(first)
-            rest = tuple(x for x in remaining if x not in chosen)
-            for tail in rec(rest, sizes[1:]):
+        pick = remaining.__getitem__
+        for chosen, rest in splits[level]:
+            first = tuple(map(pick, chosen))
+            for tail in rec(tuple(map(pick, rest)), level + 1):
                 yield (first,) + tail
 
-    for blocks in rec(tuple(range(1, shape.n + 1)), shape.block_sizes):
+    for blocks in rec(tuple(range(1, shape.n + 1)), 0):
         yield OrderedSetPartition(shape, blocks)
 
 
@@ -323,15 +350,17 @@ def cell_free_rows(sigma: OrderedSetPartition, anti: bool = False) -> tuple[tupl
     Column j has its pivot at row perm[j]; rows belonging to blocks up to
     and including j's block are pinned, and of the remaining rows only
     those below the pivot (above, for the anti form) are free: a slice of
-    the sorted pool of remaining rows, cut where the pivot would sit.
+    the sorted pool of remaining rows, cut where the pivot would sit.  The
+    pools are built from the last block back, each merging one block into
+    the next pool.
     """
-    remaining = set(range(1, sigma.shape.n + 1))
     out: list[tuple[int, ...]] = []
-    for block in sigma.blocks:
-        remaining -= set(block)
-        pool = tuple(sorted(remaining))
-        for v in block:
+    pool: tuple[int, ...] = ()  # the rows of the blocks after the current one
+    for block in reversed(sigma.blocks):
+        for v in reversed(block):
             out.append(pool[: bisect_left(pool, v)] if anti else pool[bisect_right(pool, v) :])
+        pool = tuple(sorted(pool + block))
+    out.reverse()
     return tuple(out)
 
 
@@ -414,8 +443,7 @@ def cell_form(
     n = shape.n
     if A.rows != n or A.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
-    if A.rank() != n:
-        raise ValidationError("matrix is singular")
+    A_inverse = A.inverse()  # raises "matrix is singular"
     cuts = shape.cuts
     stacked: FpMatrix | None = None  # the reduced blocks so far, side by side
     sigma_blocks: list[tuple[int, ...]] = []
@@ -433,7 +461,7 @@ def cell_form(
         sigma_blocks.append(pivots)
         claimed.extend(pivots)
     sigma = OrderedSetPartition(shape, tuple(sigma_blocks))
-    g = A.inverse() @ stacked
+    g = A_inverse @ stacked
     return sigma, CellForm(sigma, stacked, anti), g
 
 
@@ -530,41 +558,58 @@ def reduced_echelon_bases(n: int, e: int, p: int) -> Iterator[FpMatrix]:
                 entries[s - 1][j] = 1
             for (i, j), v in zip(free, values):
                 entries[i - 1][j] = v
-            yield FpMatrix(p, entries)
+            yield FpMatrix._wrap(p, tuple(map(tuple, entries)))
 
 
-def _contains(big: FpMatrix, small: FpMatrix) -> bool:
+def _pivot_rows(big: FpMatrix) -> list[int]:
+    """0-based row of the first nonzero entry of each column."""
+    rows = big.entries
+    return [next(i for i, row in enumerate(rows) if row[j]) for j in range(big.cols)]
+
+
+def _contains(big: FpMatrix, pivots: Sequence[int], small: FpMatrix) -> bool:
     """True iff every column of `small` lies in the column span of `big`.
 
     `big` must be in reduced column-echelon form, as `reduced_echelon_bases`
-    yields it: column j's first nonzero entry is a 1 on its pivot row, where
-    every other column is 0.  So a vector lies in the span iff it equals the
-    combination of big's columns weighted by its own pivot-row entries.
+    yields it, with `pivots = _pivot_rows(big)`: column j's first nonzero
+    entry is a 1 on row pivots[j], where every other column is 0.  So a
+    vector lies in the span iff it equals the combination of big's columns
+    weighted by its own pivot-row entries.
     """
-    p, rows, cols = big.p, big.entries, range(big.cols)
-    pivots = [next(i for i, row in enumerate(rows) if row[j]) for j in cols]
-    for k in range(small.cols):
-        weights = [small.entries[i][k] for i in pivots]
-        for row, target in zip(rows, small.entries):
-            if (sum(w * x for w, x in zip(weights, row)) - target[k]) % p:
+    p, rows = big.p, big.entries
+    for column in zip(*small.entries):
+        weights = [column[i] for i in pivots]
+        for row, x in zip(rows, column):
+            if (sum(map(mul, weights, row)) - x) % p:
                 return False
     return True
 
 
 def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Flag]:
-    """Brute-force list of all flags of the shape over F_p, in a fixed order."""
+    """Brute-force list of all flags of the shape over F_p, in a fixed order.
+
+    Every basis of each level is tested against every basis of the level
+    before; a chain extends by the bases that contain its last one, so each
+    pair is tested once however many chains end in the smaller basis.
+    """
     _require_prime(p)
     check_cap(q_multinomial(shape).eval_at(p), cap, "flag enumeration")
-    chains: list[tuple[FpMatrix, ...]] = [()]
+    # each chain with the index of its last basis in that basis's level
+    chains: list[tuple[tuple[FpMatrix, ...], int]] = [((), 0)]
+    previous: list[FpMatrix] = []
     for dim in shape.d:
         level = list(reduced_echelon_bases(shape.n, dim, p))
-        chains = [
-            chain + (basis,)
-            for chain in chains
-            for basis in level
-            if not chain or _contains(basis, chain[-1])
-        ]
-    return [Flag(shape, p, chain) for chain in chains]
+        if previous:
+            pivots = [_pivot_rows(big) for big in level]
+            above = [
+                [k for k, big in enumerate(level) if _contains(big, pivots[k], small)]
+                for small in previous
+            ]
+        else:
+            above = [range(len(level))]
+        chains = [(bases + (level[k],), k) for bases, j in chains for k in above[j]]
+        previous = level
+    return [Flag(shape, p, bases) for bases, _ in chains]
 
 
 def flag_count_group_formula(shape: FlagShape, p: int) -> int:
@@ -597,13 +642,13 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
 
     def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> Iterator[FpMatrix]:
         if len(rows) == n:
-            yield FpMatrix(p, rows)
+            yield FpMatrix._wrap(p, tuple(rows))
             return
         for vec in vectors:
             if vec in span:
                 continue
             if len(rows) == n - 1:  # the last row's span would never be read
-                yield FpMatrix(p, rows + [vec])
+                yield FpMatrix._wrap(p, (*rows, vec))
                 continue
             larger = {
                 tuple((a + c * b) % p for a, b in zip(old, vec))

@@ -4,13 +4,15 @@ Every check pits at least two independent computations of the same
 quantity against each other (brute-force enumeration vs. closed form,
 recurrence vs. quotient, signed sums vs. series expansion) over a sweep
 whose size is controlled by max_n.  Checks report how many cases they
-compared so that a passing run is auditable.
+compared so that a passing run is auditable, and a check that compared
+none fails.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
@@ -18,6 +20,7 @@ from typing import Callable, Iterator
 from .denumerant import (
     PsiTable,
     WeightVector,
+    _exp_log_coefficients,
     denumerant,
     denumerant_bounds,
     epsilon_weights,
@@ -78,6 +81,8 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    cases: int
+    elapsed_s: float
 
 
 def _refinement_pairs(n: int) -> Iterator[tuple[FlagShape, FlagShape]]:
@@ -93,7 +98,7 @@ def _refinement_pairs(n: int) -> Iterator[tuple[FlagShape, FlagShape]]:
 # qanalogue suite
 
 
-def _check_recurrence_vs_quotient(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_recurrence_vs_quotient(max_n: int, cap: int) -> tuple[bool, int, str]:
     # three routes: the Pascal recurrence
     # qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), one row at a time;
     # the factor kernel behind q_binomial; and the q-factorial quotient
@@ -106,100 +111,100 @@ def _check_recurrence_vs_quotient(max_n: int, cap: int) -> tuple[bool, str]:
         for e in range(0, n + 1):
             quotient = q_factorial(n).exact_quotient(q_factorial(e) * q_factorial(n - e))
             if not row[e] == q_binomial(n, e) == quotient:
-                return False, f"mismatch at n={n}, e={e}"
+                return False, cases, f"mismatch at n={n}, e={e}"
             cases += 1
-    return True, f"{cases} pairs"
+    return True, cases, f"{cases} pairs"
 
 
-def _check_palindrome_symmetry(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_palindrome_symmetry(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(0, max_n + 1):
         for e in range(0, n + 1):
             poly = q_binomial(n, e)
             if poly.reverse(e * (n - e)) != poly:
-                return False, f"not palindromic at n={n}, e={e}"
+                return False, cases, f"not palindromic at n={n}, e={e}"
             if poly != q_binomial(n, n - e):
-                return False, f"not symmetric at n={n}, e={e}"
+                return False, cases, f"not symmetric at n={n}, e={e}"
             cases += 1
-    return True, f"{cases} pairs"
+    return True, cases, f"{cases} pairs"
 
 
-def _check_partition_coefficients(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_partition_coefficients(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(0, max_n + 1):
         for e in range(0, n + 1):
             poly = q_binomial(n, e)
             for m in range(e * (n - e) + 1):
                 if poly.coefficient(m) != partition_count(e, n - e, m):
-                    return False, f"mismatch at n={n}, e={e}, m={m}"
+                    return False, cases, f"mismatch at n={n}, e={e}, m={m}"
                 cases += 1
-    return True, f"{cases} coefficients"
+    return True, cases, f"{cases} coefficients"
 
 
-def _check_multiset_sums(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_multiset_sums(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 10) + 1):
         for e in range(0, n + 1):
             if multiset_sum_poly(e, n - e, cap=cap) != q_binomial(n, e):
-                return False, f"mismatch at n={n}, e={e}"
+                return False, cases, f"mismatch at n={n}, e={e}"
             cases += 1
-    return True, f"{cases} pairs"
+    return True, cases, f"{cases} pairs"
 
 
-def _check_degree_and_total(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_degree_and_total(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, max_n + 1):
         for shape in all_shapes(n):
             poly = q_multinomial(shape)
             if poly.degree != shape.nu:
-                return False, f"degree law fails for {shape}"
+                return False, cases, f"degree law fails for {shape}"
             if poly.eval_at(1) != shape.multinomial():
-                return False, f"evaluation at 1 fails for {shape}"
+                return False, cases, f"evaluation at 1 fails for {shape}"
             cases += 1
-    return True, f"{cases} shapes"
+    return True, cases, f"{cases} shapes"
 
 
 # ---------------------------------------------------------------------------
 # inversions suite
 
 
-def _check_counters_agree(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_counters_agree(max_n: int, cap: int) -> tuple[bool, int, str]:
     rng = random.Random(_SAMPLE_SEED)
     cases = 0
     for _ in range(400):
         n = rng.randint(1, max(2, max_n) + 4)
         word = [rng.randint(1, 5) for _ in range(n)]
         if inversion_count(word) != inversion_count_quadratic(word):
-            return False, f"counters disagree on {word}"
+            return False, cases, f"counters disagree on {word}"
         cases += 1
-    return True, f"{cases} random words"
+    return True, cases, f"{cases} random words"
 
 
-def _check_oracle_vs_qmultinomial(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_oracle_vs_qmultinomial(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 8) + 1):
         for shape in all_shapes(n):
             if inversion_distribution_oracle(shape, cap=cap) != q_multinomial(shape):
-                return False, f"distribution mismatch for {shape}"
+                return False, cases, f"distribution mismatch for {shape}"
             cases += 1
-    return True, f"{cases} shapes"
+    return True, cases, f"{cases} shapes"
 
 
-def _check_table_shape(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_table_shape(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, max_n + 1):
         for shape in all_shapes(n):
             table = mahonian_table(shape)  # construction enforces the row invariants
             if table.counts != table.counts[::-1] or min(table.counts) < 1:
-                return False, f"row invariants fail for {shape}"
+                return False, cases, f"row invariants fail for {shape}"
             ks = range(-1, shape.nu + 2)
             if any(mahonian_coefficient(shape, k) != table.value(k) for k in ks):
-                return False, f"single-coefficient read differs from the table for {shape}"
+                return False, cases, f"single-coefficient read differs from the table for {shape}"
             cases += 1
-    return True, f"{cases} tables"
+    return True, cases, f"{cases} tables"
 
 
-def _check_rowsum_recurrence(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_rowsum_recurrence(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(2, max_n + 1):
         current = full_mahonian(n)
@@ -207,35 +212,37 @@ def _check_rowsum_recurrence(max_n: int, cap: int) -> tuple[bool, str]:
         for k in range(n * (n - 1) // 2 + 1):
             expected = sum(previous.value(j) for j in range(max(0, k - n + 1), k + 1))
             if current.value(k) != expected:
-                return False, f"row-sum fails at n={n}, k={k}"
+                return False, cases, f"row-sum fails at n={n}, k={k}"
             cases += 1
-    return True, f"{cases} values"
+    return True, cases, f"{cases} values"
 
 
-def _check_full_log_concavity(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_full_log_concavity(max_n: int, cap: int) -> tuple[bool, int, str]:
+    cases = 0
     for n in range(2, max_n + 1):
         failures = log_concavity_scan(full_mahonian(n).counts)
         if failures:
-            return False, f"log-concavity fails for n={n} at {failures}"
-    return True, f"n up to {max_n}"
+            return False, cases, f"log-concavity fails for n={n} at {failures}"
+        cases += 1
+    return True, cases, f"n up to {max_n}"
 
 
-def _check_refinement(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_refinement(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 7) + 1):
         for shape, refined in _refinement_pairs(n):
             recovered = refinement_recurrence(shape, refined)
             direct = mahonian_table(shape)
             if recovered.counts != direct.counts:
-                return False, f"recurrence fails for {shape.d} inside {refined.d}"
+                return False, cases, f"recurrence fails for {shape.d} inside {refined.d}"
             bigger = mahonian_table(refined)
             if any(direct.value(k) > bigger.value(k) for k in range(shape.nu + 1)):
-                return False, f"monotonicity fails for {shape.d} inside {refined.d}"
+                return False, cases, f"monotonicity fails for {shape.d} inside {refined.d}"
             cases += 1
-    return True, f"{cases} pairs"
+    return True, cases, f"{cases} pairs"
 
 
-def _check_inv_bounds(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_inv_bounds(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 7) + 1):
         for shape in all_shapes(n):
@@ -243,13 +250,13 @@ def _check_inv_bounds(max_n: int, cap: int) -> tuple[bool, str]:
             for k in range(shape.nu + 1):
                 lower, upper = inv_bounds(shape, k)
                 if not lower <= table.value(k) <= upper:
-                    return False, f"sandwich fails for {shape}, k={k}"
+                    return False, cases, f"sandwich fails for {shape}, k={k}"
                 if shape.eta == 0 and not lower == table.value(k) == upper:
-                    return False, f"eta=0 equality fails for {shape}, k={k}"
+                    return False, cases, f"eta=0 equality fails for {shape}, k={k}"
                 if n >= 3 and k >= 2 and shape.eta >= 1 and lower > 0:
-                    return False, f"lower bound positive for {shape}, k={k}"
+                    return False, cases, f"lower bound positive for {shape}, k={k}"
                 cases += 1
-    return True, f"{cases} values"
+    return True, cases, f"{cases} values"
 
 
 # ---------------------------------------------------------------------------
@@ -261,30 +268,37 @@ def _floor_divisor_sum(n: int, k: int) -> int:
     return sum(math.floor(1 + (k // d) - Fraction(k, d)) * d for d in range(1, min(n, k) + 1))
 
 
-def _check_psi_methods(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_psi_methods(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 12) + 1):
         top = n * (n + 1) // 2
         # the exp-log route is built from these sums
         for k in range(1, top + 1):
             if restricted_divisor_sum(n, k) != _floor_divisor_sum(n, k):
-                return False, f"divisor sum disagrees with its floor form at n={n}, k={k}"
+                return False, cases, f"divisor sum disagrees with its floor form at n={n}, k={k}"
         table = PsiTable.for_n(n)
+        # one exp-log series per n, read at every r; psi's own exp-log route
+        # is called once per n, at r = n
+        series = _exp_log_coefficients(n, top)
+        if psi(n, n, "exp-log") != table.value(n):
+            return False, cases, f"exp-log route disagrees at n={n}, r={n}"
         for r in range(top + 1):
             reference = table.value(r)
             if psi(n, r, "fn-coefficients") != reference:
-                return False, f"truncated expansion disagrees at n={n}, r={r}"
+                return False, cases, f"truncated expansion disagrees at n={n}, r={r}"
             if (1 << n) <= cap and psi(n, r, "subset-oracle", cap=cap) != reference:
-                return False, f"subset oracle disagrees at n={n}, r={r}"
-            if psi(n, r, "exp-log") != reference:
-                return False, f"exp-log disagrees at n={n}, r={r}"
+                return False, cases, f"subset oracle disagrees at n={n}, r={r}"
+            if series[r].denominator != 1:
+                return False, cases, f"exp-log series is not integral at n={n}, r={r}"
+            if series[r] != reference:
+                return False, cases, f"exp-log disagrees at n={n}, r={r}"
             if 1 <= r <= n and psi(n, r, "pentagonal") != reference:
-                return False, f"pentagonal disagrees at n={n}, r={r}"
+                return False, cases, f"pentagonal disagrees at n={n}, r={r}"
             cases += 1
-    return True, f"{cases} coefficients"
+    return True, cases, f"{cases} coefficients"
 
 
-def _check_psi_table_invariants(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_psi_table_invariants(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 12) + 1):
         table = PsiTable.for_n(n)
@@ -292,25 +306,25 @@ def _check_psi_table_invariants(max_n: int, cap: int) -> tuple[bool, str]:
         sign = -1 if n % 2 else 1
         for r in range(top + 1):
             if table.value(r) != sign * table.value(top - r):
-                return False, f"symmetry fails at n={n}, r={r}"
+                return False, cases, f"symmetry fails at n={n}, r={r}"
             if abs(table.value(r)) > generalized_binomial(n - 1 + r, n - 1):
-                return False, f"binomial bound fails at n={n}, r={r}"
+                return False, cases, f"binomial bound fails at n={n}, r={r}"
             cases += 1
-    return True, f"{cases} coefficients"
+    return True, cases, f"{cases} coefficients"
 
 
-def _check_unit_denumerant(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_unit_denumerant(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 6) + 1):
         w = WeightVector.ones(n)
         for m in range(31):
             if denumerant(w, m) != generalized_binomial(n - 1 + m, n - 1):
-                return False, f"unit-weight denumerant fails at n={n}, m={m}"
+                return False, cases, f"unit-weight denumerant fails at n={n}, m={m}"
             cases += 1
-    return True, f"{cases} values"
+    return True, cases, f"{cases} values"
 
 
-def _check_signed_subset_identity(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_signed_subset_identity(max_n: int, cap: int) -> tuple[bool, int, str]:
     vectors = [
         WeightVector.ones(4),
         WeightVector((1, 2, 3)),
@@ -321,43 +335,43 @@ def _check_signed_subset_identity(max_n: int, cap: int) -> tuple[bool, str]:
     for r in range(5):
         for w in vectors:
             if not signed_subset_identity_check(r, w, 30):
-                return False, f"identity fails for r={r}, w={w.weights}"
+                return False, cases, f"identity fails for r={r}, w={w.weights}"
             cases += 1
-    return True, f"{cases} pairs"
+    return True, cases, f"{cases} pairs"
 
 
-def _check_mahonian_triple(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_mahonian_triple(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 6) + 1):
         for shape in all_shapes(n):
             table = mahonian_table(shape)
             for k in range(shape.nu + 1):
                 if mahonian_via_denumerant(shape, k) != table.value(k):
-                    return False, f"denumerant route fails for {shape}, k={k}"
+                    return False, cases, f"denumerant route fails for {shape}, k={k}"
                 cases += 1
-    return True, f"{cases} values"
+    return True, cases, f"{cases} values"
 
 
-def _check_binomial_route(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_binomial_route(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, max_n + 1):
         table = full_mahonian(n)
         for k in range(n * (n - 1) // 2 + 1):
             if full_mahonian_via_binomials(n, k) != table.value(k):
-                return False, f"binomial route fails at n={n}, k={k}"
+                return False, cases, f"binomial route fails at n={n}, k={k}"
             cases += 1
-    return True, f"{cases} values"
+    return True, cases, f"{cases} values"
 
 
-def _check_quasipolynomial(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_quasipolynomial(max_n: int, cap: int) -> tuple[bool, int, str]:
     vectors = [WeightVector((1, 2)), WeightVector((2, 3)), WeightVector((1, 2, 3))]
-    for w in vectors:
+    for cases, w in enumerate(vectors):
         if not quasipolynomial_check(w, 0, 20):
-            return False, f"finite differences do not vanish for {w.weights}"
-    return True, f"{len(vectors)} weight vectors"
+            return False, cases, f"finite differences do not vanish for {w.weights}"
+    return True, len(vectors), f"{len(vectors)} weight vectors"
 
 
-def _check_denumerant_bounds(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_denumerant_bounds(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 6) + 1):
         for shape in all_shapes(n):
@@ -365,16 +379,16 @@ def _check_denumerant_bounds(max_n: int, cap: int) -> tuple[bool, str]:
             for m in range(31):
                 lower, upper = denumerant_bounds(shape, m)
                 if not lower <= denumerant(w, m) <= upper:
-                    return False, f"bounds fail for {shape}, m={m}"
+                    return False, cases, f"bounds fail for {shape}, m={m}"
                 cases += 1
-    return True, f"{cases} values"
+    return True, cases, f"{cases} values"
 
 
 # ---------------------------------------------------------------------------
 # flagcells suite
 
 
-def _check_counting_triangle(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_counting_triangle(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 4) + 1):
         for shape in all_shapes(n):
@@ -384,12 +398,12 @@ def _check_counting_triangle(max_n: int, cap: int) -> tuple[bool, str]:
                 evaluated = q_multinomial(shape).eval_at(p)
                 cells = cell_sum_poly(shape, cap=cap).eval_at(p)
                 if not brute == quotient == evaluated == cells:
-                    return False, f"counts disagree for {shape}, p={p}"
+                    return False, cases, f"counts disagree for {shape}, p={p}"
                 cases += 1
-    return True, f"{cases} shape/field pairs"
+    return True, cases, f"{cases} shape/field pairs"
 
 
-def _check_theta_transport(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_theta_transport(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 7) + 1):
         for shape in all_shapes(n):
@@ -397,54 +411,56 @@ def _check_theta_transport(max_n: int, cap: int) -> tuple[bool, str]:
             for sigma in enumerate_partitions(shape, cap=cap):
                 word = theta_word(sigma)
                 if inversion_count(word) != sigma_stats(sigma).lam:
-                    return False, f"transport fails for {sigma.blocks}"
+                    return False, cases, f"transport fails for {sigma.blocks}"
                 seen.add(word.letters)
             if len(seen) != shape.multinomial():
-                return False, f"word map not bijective for {shape}"
+                return False, cases, f"word map not bijective for {shape}"
             cases += 1
-    return True, f"{cases} shapes"
+    return True, cases, f"{cases} shapes"
 
 
-def _check_anti_straight(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_anti_straight(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(1, min(max_n, 7) + 1):
         for shape in all_shapes(n):
             straight = cell_sum_poly(shape, cap=cap)
             if straight != cell_sum_poly(shape, anti=True, cap=cap):
-                return False, f"anti and straight sums differ for {shape}"
+                return False, cases, f"anti and straight sums differ for {shape}"
             if straight != q_multinomial(shape):
-                return False, f"cell sum differs from q-multinomial for {shape}"
+                return False, cases, f"cell sum differs from q-multinomial for {shape}"
             cases += 1
-    return True, f"{cases} shapes"
+    return True, cases, f"{cases} shapes"
 
 
-def _check_cell_decomposition(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_cell_decomposition(max_n: int, cap: int) -> tuple[bool, int, str]:
     if max_n < 3:
-        return True, "skipped below n=3"
+        return True, 0, "skipped below n=3"
     group = list(enumerate_general_linear(3, 2, cap=cap))
+    cases = 0
     for d in [(1,), (2,), (1, 2)]:
         shape = FlagShape(3, d)
         forms: dict[tuple, int] = {}
         for matrix in group:
             sigma, form, g = cell_form(matrix, shape)
             if not is_parabolic_member(g, shape):
-                return False, f"non-parabolic transition for d={d}"
+                return False, cases, f"non-parabolic transition for d={d}"
             if not form.matches_pattern():
-                return False, f"pattern violated for d={d}"
+                return False, cases, f"pattern violated for d={d}"
             if form.free_entry_count() != sigma_stats(sigma).lam:
-                return False, f"free-entry count differs from lam for d={d}"
+                return False, cases, f"free-entry count differs from lam for d={d}"
             forms[form.matrix.entries] = forms.get(form.matrix.entries, 0) + 1
+            cases += 1
         expected = q_multinomial(shape).eval_at(2)
         if len(forms) != expected:
-            return False, f"wrong number of forms for d={d}"
+            return False, cases, f"wrong number of forms for d={d}"
         if any(size != len(group) // expected for size in forms.values()):
-            return False, f"uneven coset sizes for d={d}"
-    return True, f"{len(group)} matrices, 3 cut sequences"
+            return False, cases, f"uneven coset sizes for d={d}"
+    return True, cases, f"{len(group)} matrices, 3 cut sequences"
 
 
-def _check_coset_law(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_coset_law(max_n: int, cap: int) -> tuple[bool, int, str]:
     if max_n < 3:
-        return True, "skipped below n=3"
+        return True, 0, "skipped below n=3"
     rng = random.Random(_SAMPLE_SEED)
     shape = FlagShape(3, (1, 2))
     group2 = list(enumerate_general_linear(3, 2, cap=cap))
@@ -456,31 +472,32 @@ def _check_coset_law(max_n: int, cap: int) -> tuple[bool, str]:
             same = flags[a] == flags[b]
             parabolic = is_parabolic_member(inverses[b] @ group2[a], shape)
             if same != parabolic:
-                return False, "coset law fails over F_2"
+                return False, pairs, "coset law fails over F_2"
             pairs += 1
     group3 = list(enumerate_general_linear(3, 3, cap=cap))
     sample = rng.sample(group3, 40)
-    for a in sample:
-        for b in sample[:12]:
-            same = phi_flag(a, shape) == phi_flag(b, shape)
-            if same != is_parabolic_member(b.inverse() @ a, shape):
-                return False, "coset law fails over F_3"
+    flags = [phi_flag(matrix, shape) for matrix in sample]
+    inverses = [matrix.inverse() for matrix in sample[:12]]
+    for a, flag_a in zip(sample, flags):
+        for flag_b, b_inverse in zip(flags, inverses):
+            if (flag_a == flag_b) != is_parabolic_member(b_inverse @ a, shape):
+                return False, pairs, "coset law fails over F_3"
             pairs += 1
-    return True, f"{pairs} pairs"
+    return True, pairs, f"{pairs} pairs"
 
 
-def _check_tau(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_tau(max_n: int, cap: int) -> tuple[bool, int, str]:
     cases = 0
     for n in range(2, min(max_n, 8) + 1):
         for d1 in range(1, n):
             for k in range(d1 * (n - d1) + 1):
                 if sigma_stats(tau_for_lambda(n, d1, k)).lam != k:
-                    return False, f"tau misses target n={n}, d1={d1}, k={k}"
+                    return False, cases, f"tau misses target n={n}, d1={d1}, k={k}"
                 cases += 1
-    return True, f"{cases} targets"
+    return True, cases, f"{cases} targets"
 
 
-def _check_s_reduce(max_n: int, cap: int) -> tuple[bool, str]:
+def _check_s_reduce(max_n: int, cap: int) -> tuple[bool, int, str]:
     rng = random.Random(_SAMPLE_SEED)
     cases = 0
     for p in (2, 3, 5):
@@ -494,17 +511,18 @@ def _check_s_reduce(max_n: int, cap: int) -> tuple[bool, str]:
             for anti in (False, True):
                 s, reduced, g = s_reduce(matrix, anti=anti)
                 if (matrix @ g).entries != reduced.entries:
-                    return False, "reduction is not a column operation"
+                    return False, cases, "reduction is not a column operation"
                 s2, reduced2, g2 = s_reduce(reduced, anti=anti)
                 if s2 != s or reduced2.entries != reduced.entries:
-                    return False, "reduction is not idempotent"
+                    return False, cases, "reduction is not idempotent"
                 if g2.entries != FpMatrix.identity(p, e).entries:
-                    return False, "reduced form admits a nontrivial reducer"
+                    return False, cases, "reduced form admits a nontrivial reducer"
                 cases += 1
-    return True, f"{cases} matrices"
+    return True, cases, f"{cases} matrices"
 
 
-_CHECKS: dict[str, list[tuple[str, Callable[[int, int], tuple[bool, str]]]]] = {
+# A check maps (max_n, cap) to (no mismatch found, cases compared, detail).
+_CHECKS: dict[str, list[tuple[str, Callable[[int, int], tuple[bool, int, str]]]]] = {
     "qanalogue": [
         ("recurrence-vs-quotient", _check_recurrence_vs_quotient),
         ("palindrome-and-symmetry", _check_palindrome_symmetry),
@@ -553,12 +571,22 @@ def run_suite(suite: str, max_n: int = 6, cap: int = DEFAULT_CAP) -> list[CheckR
         names = [suite]
     else:
         raise ValueError(f"unknown suite {suite!r}")
-    results = []
-    for name in names:
-        for check_name, check in _CHECKS[name]:
-            try:
-                passed, detail = check(max_n, cap)
-            except Exception as exc:  # a crashed check is a failed check
-                passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-            results.append(CheckResult(name, check_name, passed, detail))
-    return results
+    return [
+        _run_check(name, check_name, check, max_n, cap)
+        for name in names
+        for check_name, check in _CHECKS[name]
+    ]
+
+
+def _run_check(
+    suite: str, name: str, check: Callable[[int, int], tuple[bool, int, str]], max_n: int, cap: int
+) -> CheckResult:
+    """Run one check, timed; it passes only if it found no mismatch in at
+    least one compared case."""
+    start = time.perf_counter()
+    try:
+        passed, cases, detail = check(max_n, cap)
+    except Exception as exc:  # a crashed check is a failed check
+        passed, cases, detail = False, 0, f"raised {type(exc).__name__}: {exc}"
+    elapsed = time.perf_counter() - start
+    return CheckResult(suite, name, passed and cases > 0, detail, cases, elapsed)

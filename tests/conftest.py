@@ -3,7 +3,7 @@ import functools
 import pytest
 
 from qcomb.errors import DEFAULT_CAP
-from qcomb.verification import _CHECKS
+from qcomb.verification import _CHECKS, _run_check
 
 CHECKS = {name: check for checks in _CHECKS.values() for name, check in checks}
 
@@ -31,7 +31,7 @@ SWEEP_MAX_N = {
 
 @functools.cache
 def _sweep(name):
-    return CHECKS[name](SWEEP_MAX_N.get(name, 6), DEFAULT_CAP)
+    return _run_check("", name, CHECKS[name], SWEEP_MAX_N.get(name, 6), DEFAULT_CAP)
 
 
 @pytest.fixture(scope="session")
@@ -44,7 +44,7 @@ def verify_check():
 
     def assert_pass(*names):
         for name in names:
-            passed, detail = _sweep(name)
-            assert passed, f"{name}: {detail}"
+            result = _sweep(name)
+            assert result.passed, f"{name}: {result.detail}"
 
     return assert_pass

@@ -203,7 +203,7 @@ def test_readme_examples_match_golden_output(capsys):
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake_suite(suite, max_n, cap):
-        return [CheckResult(suite, "rigged", False, "induced for the exit-code test")]
+        return [CheckResult(suite, "rigged", False, "induced for the exit-code test", 1, 0.0)]
 
     monkeypatch.setattr(cli, "run_suite", fake_suite)
     code, out, _ = run_cli(["verify", "--suite", "all"], capsys)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcomb import (
+    Flag,
     FlagShape,
     FpMatrix,
     OrderedSetPartition,
@@ -31,7 +33,7 @@ from qcomb import (
     tau_for_lambda,
     theta_word,
 )
-from qcomb.flagcells import _contains, _require_prime
+from qcomb.flagcells import _contains, _pivot_rows, _require_prime
 
 RNG_SEED = 52462280
 
@@ -92,6 +94,76 @@ def test_unit_column_selector_rank():
         n, e = 5, len(s)
         cols = [[1 if i + 1 == sj else 0 for sj in s] for i in range(n)]
         assert FpMatrix(3, cols).rank() == e
+
+
+def _matrices(max_rows=4, max_cols=4):
+    """Random matrices over F_2, F_3 and F_5 with some rows forced to zero."""
+
+    @st.composite
+    def build(draw):
+        p = draw(st.sampled_from([2, 3, 5]))
+        rows = draw(st.integers(0, max_rows))
+        cols = draw(st.integers(0, max_cols))
+        entries = [[draw(st.integers(0, p - 1)) for _ in range(cols)] for _ in range(rows)]
+        for i in range(rows):
+            if draw(st.integers(0, 3)) == 0:
+                entries[i] = [0] * cols
+        return FpMatrix(p, entries)
+
+    return build()
+
+
+def _span_rank(m):
+    # log_p of the size of the column span, found by trying every combination
+    span = {
+        tuple(sum(c * x for c, x in zip(coeffs, row)) % m.p for row in m.entries)
+        for coeffs in itertools.product(range(m.p), repeat=m.cols)
+    }
+    size, rank = len(span), 0
+    while size > 1:
+        assert size % m.p == 0
+        size, rank = size // m.p, rank + 1
+    return rank
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rank_matches_span_size(m):
+    assert m.rank() == _span_rank(m)
+
+
+def _assert_canonical(m):
+    """m is what the public constructor would build from its own entries."""
+    assert type(m.entries) is tuple and all(type(row) is tuple for row in m.entries)
+    assert all(type(x) is int and 0 <= x < m.p for row in m.entries for x in row)
+    public = FpMatrix(m.p, m.entries)
+    assert m == public and hash(m) == hash(public) and m.entries == public.entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices(max_rows=5, max_cols=5), st.integers(0, 2**20))
+def test_internally_built_matrices_are_canonical(m, seed):
+    rng = random.Random(seed)
+    p, n, e = m.p, m.rows, m.cols
+    square = _random_invertible(max(n, 1), p, rng)
+    other = FpMatrix(p, [[rng.randrange(p) for _ in range(3)] for _ in range(e)])
+    results = [
+        m.column_block(0, e // 2),
+        m.select_rows(sorted(rng.sample(range(n), n // 2))),
+        m.hstack(m),
+        m.flip_rows(),
+        m.reverse_columns(),
+        m @ other,
+        m + m,
+        -m,
+        square.inverse(),
+        square.solve(square),
+    ]
+    for anti in (False, True):
+        _, reduced, g = s_reduce(square, anti=anti)
+        results += [reduced, g]
+    for r in results:
+        _assert_canonical(r)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +260,20 @@ def test_partition_validation():
         OrderedSetPartition(shape, ((1, 2), (2,)))
     with pytest.raises(ValidationError):
         OrderedSetPartition(shape, ((1,), (2, 3)))
+    for blocks in [
+        ((1, 1), (2,)),  # duplicate inside a block
+        ((1, 3), (3,)),  # duplicate across blocks
+        ((0, 1), (2,)),  # 0
+        ((1, 4), (2,)),  # n + 1
+        ((2, 3), (4,)),
+        ((-1, 1), (2,)),
+        ((1, 2, 3), ()),  # wrong block sizes
+        ((1, 3),),  # wrong number of blocks
+        ((1, 3), (2,), ()),
+    ]:
+        with pytest.raises(ValidationError):
+            OrderedSetPartition(shape, blocks)
+    assert OrderedSetPartition(shape, [[1.0, 3], [2]]).blocks == ((1, 3), (2,))
 
 
 def test_enumerate_partitions_counts():
@@ -391,7 +477,56 @@ def test_subspace_enumeration_counts():
             for p in (2, 3):
                 bases = list(reduced_echelon_bases(n, e, p))
                 assert len(bases) == len({b.entries for b in bases})
+                for basis in bases:
+                    _assert_canonical(basis)
                 assert len(bases) == q_binomial(n, e).eval_at(p)
+
+
+def test_flag_rejects_malformed_chains():
+    shape = FlagShape(3, (1, 2))
+    e1 = FpMatrix(2, [[1], [0], [0]])
+    e12 = FpMatrix(2, [[1, 0], [0, 1], [0, 0]])
+    e23 = FpMatrix(2, [[0, 0], [1, 0], [0, 1]])
+    assert Flag(shape, 2, (e1, e12)).bases == (e1, e12)
+    with pytest.raises(ValidationError, match="rank deficient"):
+        Flag(shape, 2, (e1, FpMatrix(2, [[1, 1], [0, 0], [0, 0]])))
+    with pytest.raises(ValidationError, match="rank deficient"):
+        Flag(shape, 2, (FpMatrix(2, [[0], [0], [0]]), e12))
+    with pytest.raises(ValidationError, match="not nested"):
+        Flag(shape, 2, (e1, e23))
+    with pytest.raises(ValidationError, match="do not match"):
+        Flag(shape, 3, (e1, e12))  # bases over F_2, flag over F_3
+    with pytest.raises(ValidationError, match="do not match"):
+        Flag(shape, 2, (e12, e12))  # first level has the wrong dimension
+    with pytest.raises(ValidationError, match="do not match"):
+        Flag(shape, 2, (FpMatrix(2, [[1], [0]]), e12))  # wrong number of rows
+    with pytest.raises(ValidationError, match="expected 2 subspaces"):
+        Flag(shape, 2, (e1,))
+    with pytest.raises(ValidationError, match="prime"):
+        Flag(shape, 4, (e1, e12))
+
+
+def _reference_flags(shape, p):
+    # every chain x basis pair, filtered by the rank of the stacked pair
+    chains = [()]
+    for dim in shape.d:
+        level = list(reduced_echelon_bases(shape.n, dim, p))
+        chains = [
+            chain + (basis,)
+            for chain in chains
+            for basis in level
+            if not chain or basis.hstack(chain[-1]).rank() == dim
+        ]
+    return chains
+
+
+def test_enumerate_flags_matches_rank_filtered_reference():
+    for n in range(1, 5):
+        for shape in all_shapes(n):
+            for p in (2, 3):
+                flags = enumerate_flags(shape, p)
+                assert [f.bases for f in flags] == _reference_flags(shape, p), (shape, p)
+                assert all(f.shape == shape and f.p == p for f in flags)
 
 
 def test_flag_enumeration_examples():
@@ -416,7 +551,10 @@ def test_group_formula_examples():
 def test_gl_enumeration_rejection_matches_order_formula():
     for n, p in [(2, 2), (3, 2), (2, 3), (2, 5)]:
         order = math.prod(p**n - p**i for i in range(n))
-        group = [m.entries for m in enumerate_general_linear(n, p)]
+        matrices = list(enumerate_general_linear(n, p))
+        for m in matrices:
+            _assert_canonical(m)
+        group = [m.entries for m in matrices]
         assert group == sorted(set(group))
         assert len(group) == order
         assert all(FpMatrix(p, m).rank() == n for m in group)
@@ -428,7 +566,8 @@ def test_echelon_containment_matches_rank():
             bases = [b for e in range(n + 1) for b in reduced_echelon_bases(n, e, p)]
             for big in bases:
                 for small in bases:
-                    assert _contains(big, small) == (big.hstack(small).rank() == big.cols)
+                    contained = _contains(big, _pivot_rows(big), small)
+                    assert contained == (big.hstack(small).rank() == big.cols)
 
 
 def test_require_prime_is_exact():

@@ -1,7 +1,7 @@
 import pytest
 
 from qcomb import cli
-from qcomb.verification import _CHECKS
+from qcomb.verification import _CHECKS, _run_check, run_suite
 
 # `qcomb verify --suite all --max-n 6`, as printed when every check passes
 VERIFY_ALL_6 = """\
@@ -44,3 +44,26 @@ def test_registry_check(name, verify_check):
 def test_verify_all_table_is_pinned(capsys):
     assert cli.run(["verify", "--suite", "all", "--max-n", "6"]) == 0
     assert capsys.readouterr().out == VERIFY_ALL_6
+
+
+def test_a_check_that_compares_nothing_fails():
+    assert _run_check("s", "c", lambda max_n, cap: (True, 2, "2 pairs"), 6, 1).passed
+    empty = _run_check("s", "c", lambda max_n, cap: (True, 0, "0 pairs"), 6, 1)
+    assert (empty.passed, empty.cases, empty.detail) == (False, 0, "0 pairs")
+    assert not _run_check("s", "c", lambda max_n, cap: (False, 3, "mismatch"), 6, 1).passed
+    crashed = _run_check("s", "c", lambda max_n, cap: 1 // 0, 6, 1)
+    assert (crashed.passed, crashed.cases) == (False, 0)
+    assert crashed.detail.startswith("raised ZeroDivisionError")
+
+
+def test_verify_below_every_sweep_fails(capsys):
+    # at max_n 1 these checks have nothing to compare
+    empty = {"rowsum-recurrence", "full-log-concavity", "cell-decomposition", "coset-law",
+             "prescribed-dimension"}
+    results = run_suite("all", max_n=1)
+    assert {r.name for r in results if not r.passed} == empty
+    assert all((r.cases == 0) == (r.name in empty) and r.elapsed_s >= 0 for r in results)
+    assert cli.run(["verify", "--suite", "all", "--max-n", "1"]) == 3
+    rows = capsys.readouterr().out.splitlines()
+    assert "inversions  rowsum-recurrence            FAIL    0 values" in rows
+    assert "flagcells   coset-law                    FAIL    skipped below n=3" in rows
