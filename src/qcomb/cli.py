@@ -11,7 +11,7 @@ denumerant  number of representations of m by a weight vector.
 bounds      exact rational lower/upper estimates for an inversion count.
 flags       brute-force flag enumeration over F_p (list, count, or cell table).
 tau         a two-block partition with prescribed cell dimension.
-verify      run the cross-oracle self-checks.
+verify      run the cross-oracle self-checks (the only subcommand loading them).
 
 Usage examples
 --------------
@@ -30,10 +30,8 @@ the QCOMB_CAP environment variable; an explicit --cap wins.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Sequence
 
 from .denumerant import (
@@ -44,7 +42,7 @@ from .denumerant import (
     mahonian_via_denumerant,
     psi,
 )
-from .errors import DEFAULT_CAP, ResourceLimitError, ValidationError
+from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, frozen
 from .flagcells import (
     cell_sum_poly,
     enumerate_flags,
@@ -55,7 +53,6 @@ from .flagcells import (
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_binomial, q_multinomial
-from .verification import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -65,7 +62,7 @@ EXIT_VERIFY = 3
 FORMATS = ("table", "csv", "json")
 
 
-@dataclass(frozen=True)
+@frozen
 class OutputRecord:
     """One command's result: a titled table with all integers as strings."""
 
@@ -87,6 +84,7 @@ class OutputRecord:
 
 def render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
+        import json
         return json.dumps(record.to_json_obj(), indent=2) + "\n"
     if fmt == "csv":
         lines = [",".join(record.columns)]
@@ -257,6 +255,7 @@ def _cmd_tau(args) -> tuple[OutputRecord, int]:
 
 
 def _cmd_verify(args) -> tuple[OutputRecord, int]:
+    from .verification import run_suite  # verify alone loads the registry
     results = run_suite(args.suite, max_n=args.max_n, cap=args.cap)
     rows = tuple(
         (res.suite, res.name, "PASS" if res.passed else "FAIL", res.detail)

@@ -15,19 +15,20 @@ and cross-validated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly, factor_product, series_reciprocal_product
 from .qanalogue import FlagShape
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 PSI_METHODS = ("subset-oracle", "fn-coefficients", "pentagonal", "exp-log")
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class WeightVector:
     """A tuple of positive integer weights."""
 
@@ -46,15 +47,11 @@ class WeightVector:
     def ones(cls, n: int) -> WeightVector:
         return cls((1,) * n)
 
-    @classmethod
-    def one_through(cls, n: int) -> WeightVector:
-        return cls(tuple(range(1, n + 1)))
-
     def __len__(self) -> int:
         return len(self.weights)
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class PsiTable:
     """All coefficients of f_n(t) = (1-t)(1-t^2)...(1-t^n), indices 0..n(n+1)/2."""
 
@@ -114,6 +111,7 @@ def restricted_divisor_sum(n: int, k: int) -> int:
 
 def alpha(n: int, k: int) -> Fraction:
     """The logarithmic-series coefficient: restricted_divisor_sum(n, k) / k."""
+    from fractions import Fraction
     return Fraction(restricted_divisor_sum(n, k), k)
 
 
@@ -139,6 +137,7 @@ def _subset_signed_histogram(n: int) -> tuple[int, ...]:
 
 def _exp_log_coefficients(n: int, top: int) -> tuple[Fraction, ...]:
     # exp of L(t) = -sum_k alpha(n, k) t^k, via m*e_m = sum_j (j * l_j) e_{m-j}
+    from fractions import Fraction
     sigma = [0] + [restricted_divisor_sum(n, k) for k in range(1, top + 1)]
     coeffs: list[Fraction] = [Fraction(1)]
     for m in range(1, top + 1):
@@ -257,6 +256,7 @@ def denumerant_bounds(shape: FlagShape, m: int) -> tuple[Fraction, Fraction]:
 
         binom(n-1+m, n-1)/prod(e_i!) <= D(m) <= binom(n-1+eta+m, n-1)/prod(e_i!)
     """
+    from fractions import Fraction
     if m < 0:
         raise ValidationError("m must be nonnegative")
     n = shape.n

@@ -18,11 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import lt, mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial
@@ -64,7 +63,7 @@ def _strong_probable_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class FpMatrix:
     """A matrix over F_p, entries stored row-major as reduced residues."""
 
@@ -279,7 +278,7 @@ def is_parabolic_member(g: FpMatrix, shape: FlagShape) -> bool:
     return True
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class OrderedSetPartition:
     """A partition of [n] into labeled blocks of prescribed sizes."""
 
@@ -365,13 +364,19 @@ def cell_free_rows(sigma: OrderedSetPartition, anti: bool = False) -> tuple[tupl
 
 
 def sigma_stats(sigma: OrderedSetPartition) -> SigmaStats:
-    """The derived permutation, block map, and cell-dimension statistics."""
+    """The derived permutation, block map, and cell-dimension statistics.
+
+    delta[j] counts the rows `cell_free_rows` lists for column j, the rows
+    of later blocks below perm[j], by bisecting the sorted pool of them.
+    """
     perm = tuple(v for block in sigma.blocks for v in block)
-    mu = tuple(
-        m for m, block in enumerate(sigma.blocks, start=1) for _ in block
-    )
-    delta = tuple(len(rows) for rows in cell_free_rows(sigma))
-    return SigmaStats(perm, mu, delta, sum(delta))
+    mu = tuple(m for m, block in enumerate(sigma.blocks, start=1) for _ in block)
+    delta: list[int] = []
+    pool: list[int] = []  # the rows of the blocks after the current one, sorted
+    for block in reversed(sigma.blocks):
+        delta[:0] = [len(pool) - bisect_right(pool, v) for v in block]
+        pool = sorted(pool + list(block))
+    return SigmaStats(perm, mu, tuple(delta), sum(delta))
 
 
 def theta_word(sigma: OrderedSetPartition) -> MultisetWord:
@@ -391,7 +396,7 @@ def theta_word(sigma: OrderedSetPartition) -> MultisetWord:
     return MultisetWord(letters, sigma.shape)
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class CellForm:
     """An invertible matrix in the normal form attached to a partition."""
 
@@ -499,7 +504,7 @@ def tau_for_lambda(n: int, d1: int, k: int) -> OrderedSetPartition:
     return OrderedSetPartition(shape, (first_sorted, second))
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class Flag:
     """A chain of nested subspaces, stored by canonical echelon bases."""
 

@@ -11,26 +11,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .denumerant import generalized_binomial, psi_prefix
-from .errors import DEFAULT_CAP, ValidationError, check_cap
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly, factor_product
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
 
-
-@lru_cache(maxsize=None)
-def _sorted_letters(shape: FlagShape) -> tuple[int, ...]:
-    out: list[int] = []
-    for letter, e in enumerate(shape.block_sizes, start=1):
-        out.extend([letter] * e)
-    return tuple(out)
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class MultisetWord:
     """A word in which letter i occurs exactly e_i times."""
 
@@ -39,13 +31,13 @@ class MultisetWord:
 
     def __init__(self, letters: Sequence[int], shape: FlagShape):
         data = tuple(letters)
-        if tuple(sorted(data)) != _sorted_letters(shape):
+        if tuple(sorted(data)) != shape.sorted_letters:
             raise ValidationError(f"letters {data} do not have block content {shape.block_sizes}")
         object.__setattr__(self, "letters", data)
         object.__setattr__(self, "shape", shape)
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class MahonianTable:
     """Inversion counts by value: counts[k] words have exactly k inversions.
 
@@ -84,7 +76,7 @@ def enumerate_words(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[Multis
     smallest larger letter to its right, and reverse the tail after j.
     """
     check_cap(shape.multinomial(), cap, "multiset word enumeration")
-    a = list(_sorted_letters(shape))
+    a = list(shape.sorted_letters)
     while True:
         yield MultisetWord(a, shape)
         j = len(a) - 2
@@ -199,6 +191,7 @@ def inv_bounds(shape: FlagShape, k: int) -> tuple[Fraction, Fraction]:
     gives the upper one.  With all blocks singletons (eta = 0) the two
     coincide with the exact count.
     """
+    from fractions import Fraction
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
     n = shape.n

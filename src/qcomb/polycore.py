@@ -15,17 +15,16 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, frozen
 
 # Degree reported for the zero polynomial: a sentinel strictly below every
 # attainable degree, so `reverse`/`degree` comparisons never need a special case.
 ZERO_DEGREE = -1
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class IntPoly:
     """Dense polynomial with integer coefficients.
 
@@ -100,19 +99,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int) -> IntPoly:
-        if exponent < 0:
-            raise ValidationError("negative polynomial powers are not defined")
-        result = IntPoly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
 
@@ -165,23 +151,8 @@ class IntPoly:
             raise ValidationError("division is not exact")
         return IntPoly(out)
 
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            if i > 0 and abs(c) != 1:
-                term = f"{abs(c)}*{term}"
-            elif i == 0:
-                term = str(abs(c))
-            parts.append(("- " if c < 0 else "+ " if parts else "") + term)
-        return " ".join(parts)
 
-
-@dataclass(frozen=True, init=False)
+@frozen
 class TruncatedSeries:
     """Formal power series known exactly through t^order, nothing beyond."""
 

@@ -17,21 +17,21 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly, factor_product
 
 
-@dataclass(frozen=True, init=False)
+@frozen
 class FlagShape:
     """A dimension vector: n together with a strictly increasing cut sequence d.
 
     The cuts split [n] into r+1 consecutive blocks of sizes e_1, ..., e_{r+1};
     d may be empty (one block).  The top inversion number nu counts pairs of
-    positions in distinct blocks, eta counts pairs inside a block.
+    positions in distinct blocks, eta counts pairs inside a block.  Cuts,
+    block sizes and sorted letters (the lex-first word) are computed once.
     """
 
     n: int
@@ -50,8 +50,14 @@ class FlagShape:
             raise ValidationError(
                 f"cuts must stay below n={n}; drop a final cut equal to n instead"
             )
+        padded = (0,) + cuts + (n,)  # 0 = d_0 < d_1 < ... < d_r < d_{r+1} = n
+        sizes = tuple(b - a for a, b in zip(padded, padded[1:]))
+        letters = tuple(i for i, e in enumerate(sizes, start=1) for _ in range(e))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", cuts)
+        object.__setattr__(self, "cuts", padded)
+        object.__setattr__(self, "block_sizes", sizes)
+        object.__setattr__(self, "sorted_letters", letters)
 
     @classmethod
     def full(cls, n: int) -> FlagShape:
@@ -61,16 +67,6 @@ class FlagShape:
     @property
     def r(self) -> int:
         return len(self.d)
-
-    @property
-    def cuts(self) -> tuple[int, ...]:
-        """The padded sequence 0 = d_0 < d_1 < ... < d_r < d_{r+1} = n."""
-        return (0,) + self.d + (self.n,)
-
-    @property
-    def block_sizes(self) -> tuple[int, ...]:
-        c = self.cuts
-        return tuple(c[i + 1] - c[i] for i in range(len(c) - 1))
 
     @property
     def nu(self) -> int:

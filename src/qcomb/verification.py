@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -32,7 +31,7 @@ from .denumerant import (
     restricted_divisor_sum,
     signed_subset_identity_check,
 )
-from .errors import DEFAULT_CAP, ValidationError
+from .errors import DEFAULT_CAP, SUITE_NAMES, ValidationError, frozen
 from .flagcells import (
     FpMatrix,
     cell_form,
@@ -70,12 +69,10 @@ from .qanalogue import (
     q_multinomial,
 )
 
-SUITE_NAMES = ("qanalogue", "inversions", "denumerant", "flagcells")
-
 _SAMPLE_SEED = 74207281  # fixed so verification output is byte-reproducible
 
 
-@dataclass(frozen=True)
+@frozen
 class CheckResult:
     suite: str
     name: str

@@ -205,7 +205,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     def fake_suite(suite, max_n, cap):
         return [CheckResult(suite, "rigged", False, "induced for the exit-code test", 1, 0.0)]
 
-    monkeypatch.setattr(cli, "run_suite", fake_suite)
+    monkeypatch.setattr("qcomb.verification.run_suite", fake_suite)
     code, out, _ = run_cli(["verify", "--suite", "all"], capsys)
     assert code == 3
     assert "FAIL" in out
@@ -253,6 +253,52 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "value\n2\n"
+
+
+# Runs batches of CLI calls in one bare interpreter (no site packages, no
+# bytecode written) and prints, after each batch, which of the watched
+# modules are loaded.
+_IMPORT_PROBE = """
+import io, sys
+from qcomb import cli
+for batch in {batches!r}:
+    for argv in batch:
+        sys.stdout, real = io.StringIO(), sys.stdout
+        try:
+            cli.run(argv)
+        finally:
+            sys.stdout = real
+    print(sorted(m for m in {watched!r} if m in sys.modules))
+"""
+
+
+def test_cli_imports_only_what_the_subcommand_runs():
+    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    examples = [case["argv"] for case in golden]
+    rational = [a for a in examples if a[0] == "bounds" or "exp-log" in a]
+    assert len(rational) == 2
+    batches = [
+        [a for a in examples if a not in rational],
+        rational,
+        [["qbinom", "4", "2", "--format", "json"]],
+        [["verify", "--suite", "qanalogue", "--max-n", "2"]],
+    ]
+    watched = ("dataclasses", "inspect", "fractions", "json", "qcomb.verification")
+    script = _IMPORT_PROBE.format(batches=batches, watched=watched)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-B", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "[]",
+        "['fractions']",
+        "['fractions', 'json']",
+        "['fractions', 'json', 'qcomb.verification']",
+    ]
 
 
 def _gaussian_binomial_at(n, e, q):

@@ -295,6 +295,13 @@ def test_sigma_stats_example():
     assert stats.lam == 2
 
 
+def test_sigma_stats_delta_counts_the_free_rows():
+    for n in range(1, 7):
+        for shape in all_shapes(n):
+            for sigma in enumerate_partitions(shape):
+                assert sigma_stats(sigma).delta == tuple(map(len, cell_free_rows(sigma)))
+
+
 def test_lambda_extremes():
     for n in range(2, 7):
         for shape in all_shapes(n):
