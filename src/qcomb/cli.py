@@ -43,13 +43,7 @@ from .denumerant import (
     psi,
 )
 from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, frozen
-from .flagcells import (
-    cell_sum_poly,
-    enumerate_flags,
-    enumerate_partitions,
-    sigma_stats,
-    tau_for_lambda,
-)
+from .flagcells import cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_binomial, q_multinomial
@@ -177,6 +171,8 @@ def _cmd_invdist(args) -> tuple[OutputRecord, int]:
 
 def _cmd_inv(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
+    if args.k < 0:
+        raise ValidationError("inversion count must be nonnegative")
     if args.method == "table":
         value = mahonian_coefficient(shape, args.k)
     elif args.method == "denumerant":
@@ -223,10 +219,11 @@ def _cmd_flags(args) -> tuple[OutputRecord, int]:
     params = {"n": str(args.n), "d": [str(x) for x in shape.d], "p": str(args.p)}
     if args.cells:
         rows = []
+        total = 0
         for sigma in enumerate_partitions(shape, cap=args.cap):
-            lam = sigma_stats(sigma).lam
+            lam = cell_dimension(sigma)
             rows.append((_sigma_text(sigma.blocks), str(lam), str(args.p**lam)))
-        total = cell_sum_poly(shape, cap=args.cap).eval_at(args.p)
+            total += args.p**lam
         rows.append(("total", "", str(total)))
         return (
             OutputRecord("flags-cells", params, ("sigma", "dimension", "flags"), tuple(rows)),
@@ -244,12 +241,11 @@ def _cmd_flags(args) -> tuple[OutputRecord, int]:
 
 def _cmd_tau(args) -> tuple[OutputRecord, int]:
     partition = tau_for_lambda(args.n, args.d1, args.k)
-    lam = sigma_stats(partition).lam
     params = {"n": str(args.n), "d1": str(args.d1), "k": str(args.k)}
     rows = (
         ("tau1", " ".join(str(x) for x in partition.blocks[0])),
         ("tau2", " ".join(str(x) for x in partition.blocks[1])),
-        ("dimension", str(lam)),
+        ("dimension", str(cell_dimension(partition))),
     )
     return OutputRecord("tau", params, ("name", "value"), rows), EXIT_OK
 
@@ -376,8 +372,12 @@ def run(argv: Sequence[str] | None = None) -> int:
         return EXIT_RESOURCE
     text = render(record, args.format)
     if args.out:
-        with open(args.out, "w", newline="") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", newline="") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"qcomb: error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(text)
     return status

@@ -19,7 +19,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from operator import lt, mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .inversions import MultisetWord
@@ -336,47 +336,24 @@ def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[O
         yield OrderedSetPartition(shape, blocks)
 
 
-class SigmaStats(NamedTuple):
-    perm: tuple[int, ...]          # position -> element, reading blocks in order
-    mu: tuple[int, ...]            # position -> 1-based block index
-    delta: tuple[int, ...]         # per-position free-entry counts
-    lam: int                       # total cell dimension
+def cell_dimension(sigma: OrderedSetPartition, anti: bool = False) -> int:
+    """The cell dimension lam(sigma): the free entries of sigma's normal form.
 
+    Column j has its pivot at row v = perm[j], and its free rows are the rows
+    of later blocks below v (above v, for the anti form).  They are counted
+    by bisecting the sorted pool of those rows, built from the last block back.
 
-def cell_free_rows(sigma: OrderedSetPartition, anti: bool = False) -> tuple[tuple[int, ...], ...]:
-    """Per column of the normal form, the rows left unconstrained.
-
-    Column j has its pivot at row perm[j]; rows belonging to blocks up to
-    and including j's block are pinned, and of the remaining rows only
-    those below the pivot (above, for the anti form) are free: a slice of
-    the sorted pool of remaining rows, cut where the pivot would sit.  The
-    pools are built from the last block back, each merging one block into
-    the next pool.
+    >>> sigma = OrderedSetPartition(FlagShape(3, (2,)), ((1, 2), (3,)))
+    >>> cell_dimension(sigma), cell_dimension(sigma, anti=True)
+    (2, 0)
     """
-    out: list[tuple[int, ...]] = []
-    pool: tuple[int, ...] = ()  # the rows of the blocks after the current one
-    for block in reversed(sigma.blocks):
-        for v in reversed(block):
-            out.append(pool[: bisect_left(pool, v)] if anti else pool[bisect_right(pool, v) :])
-        pool = tuple(sorted(pool + block))
-    out.reverse()
-    return tuple(out)
-
-
-def sigma_stats(sigma: OrderedSetPartition) -> SigmaStats:
-    """The derived permutation, block map, and cell-dimension statistics.
-
-    delta[j] counts the rows `cell_free_rows` lists for column j, the rows
-    of later blocks below perm[j], by bisecting the sorted pool of them.
-    """
-    perm = tuple(v for block in sigma.blocks for v in block)
-    mu = tuple(m for m, block in enumerate(sigma.blocks, start=1) for _ in block)
-    delta: list[int] = []
+    lam = 0
     pool: list[int] = []  # the rows of the blocks after the current one, sorted
     for block in reversed(sigma.blocks):
-        delta[:0] = [len(pool) - bisect_right(pool, v) for v in block]
+        for v in block:
+            lam += bisect_left(pool, v) if anti else len(pool) - bisect_right(pool, v)
         pool = sorted(pool + list(block))
-    return SigmaStats(perm, mu, tuple(delta), sum(delta))
+    return lam
 
 
 def theta_word(sigma: OrderedSetPartition) -> MultisetWord:
@@ -412,25 +389,20 @@ class CellForm:
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "anti", bool(anti))
 
-    def free_rows(self) -> tuple[tuple[int, ...], ...]:
-        return cell_free_rows(self.sigma, self.anti)
-
-    def free_entry_count(self) -> int:
-        return sum(len(rows) for rows in self.free_rows())
-
     def matches_pattern(self) -> bool:
-        """Entry check: 1 on the pivot, arbitrary on free rows, 0 elsewhere."""
-        perm = sigma_stats(self.sigma).perm
-        free = self.free_rows()
-        for j in range(self.sigma.shape.n):
-            pivot = perm[j]
-            free_set = set(free[j])
-            for i in range(1, self.sigma.shape.n + 1):
-                v = self.matrix.entry(i - 1, j)
-                if i == pivot:
-                    if v != 1:
+        """Entry check: 1 on each pivot, 0 outside the free entries.
+
+        Row i may be nonzero in the column whose pivot is row v only if i's
+        block comes after v's block and i lies below v (above, for anti).
+        """
+        block_of = {i: m for m, block in enumerate(self.sigma.blocks) for i in block}
+        pivots = [v for block in self.sigma.blocks for v in block]
+        for j, v in enumerate(pivots):
+            for i, x in enumerate(self.matrix.column(j), start=1):
+                if i == v:
+                    if x != 1:
                         return False
-                elif i not in free_set and v != 0:
+                elif x and not (block_of[i] > block_of[v] and (i < v if self.anti else i > v)):
                     return False
         return True
 
@@ -474,7 +446,7 @@ def cell_sum_poly(shape: FlagShape, anti: bool = False, cap: int = DEFAULT_CAP) 
     """Generating polynomial of cell dimensions over all partitions of the shape."""
     hist = [0] * (shape.nu + 1)
     for sigma in enumerate_partitions(shape, cap=cap):
-        hist[sum(len(rows) for rows in cell_free_rows(sigma, anti))] += 1
+        hist[cell_dimension(sigma, anti)] += 1
     return IntPoly(hist)
 
 

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .denumerant import generalized_binomial, psi_prefix
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
-from .polycore import IntPoly, factor_product
+from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
 
 if TYPE_CHECKING:
@@ -128,7 +128,7 @@ def inversion_distribution_oracle(shape: FlagShape, cap: int = DEFAULT_CAP) -> I
 
 def mahonian_table(shape: FlagShape) -> MahonianTable:
     """Inversion counts read off the q-multinomial coefficient; no enumeration."""
-    return MahonianTable(shape, q_multinomial(shape).coeffs)
+    return MahonianTable(shape, q_multinomial_prefix(shape, shape.nu))
 
 
 def mahonian_coefficient(shape: FlagShape, k: int) -> int:
@@ -143,11 +143,8 @@ def mahonian_coefficient(shape: FlagShape, k: int) -> int:
 
 
 def full_mahonian(n: int) -> MahonianTable:
-    """Inversion counts of plain permutations of [n], via (1)(1+t)...(1+...+t^{n-1})."""
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
-    counts = factor_product(range(1, n + 1), (1,) * n, n * (n - 1) // 2)
-    return MahonianTable(FlagShape.full(n), counts)
+    """Inversion counts of plain permutations of [n]: the table of the full shape."""
+    return mahonian_table(FlagShape.full(n))
 
 
 def is_refinement(shape: FlagShape, refined: FlagShape) -> bool:

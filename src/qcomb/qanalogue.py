@@ -31,7 +31,8 @@ class FlagShape:
     The cuts split [n] into r+1 consecutive blocks of sizes e_1, ..., e_{r+1};
     d may be empty (one block).  The top inversion number nu counts pairs of
     positions in distinct blocks, eta counts pairs inside a block.  Cuts,
-    block sizes and sorted letters (the lex-first word) are computed once.
+    block sizes, sorted letters (the lex-first word), nu and eta are
+    computed once.
     """
 
     n: int
@@ -58,6 +59,8 @@ class FlagShape:
         object.__setattr__(self, "cuts", padded)
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "sorted_letters", letters)
+        object.__setattr__(self, "nu", (n * n - sum(e * e for e in sizes)) // 2)
+        object.__setattr__(self, "eta", sum(e * (e - 1) // 2 for e in sizes))
 
     @classmethod
     def full(cls, n: int) -> FlagShape:
@@ -67,17 +70,6 @@ class FlagShape:
     @property
     def r(self) -> int:
         return len(self.d)
-
-    @property
-    def nu(self) -> int:
-        """Number of cross-block position pairs; the top inversion count."""
-        e = self.block_sizes
-        return sum(e[i] * e[j] for i in range(len(e)) for j in range(i + 1, len(e)))
-
-    @property
-    def eta(self) -> int:
-        """Number of within-block position pairs."""
-        return sum(x * (x - 1) // 2 for x in self.block_sizes)
 
     def multinomial(self) -> int:
         """n! / prod(e_i!), the number of words of this block content."""

@@ -34,6 +34,7 @@ from .denumerant import (
 from .errors import DEFAULT_CAP, SUITE_NAMES, ValidationError, frozen
 from .flagcells import (
     FpMatrix,
+    cell_dimension,
     cell_form,
     cell_sum_poly,
     enumerate_flags,
@@ -43,7 +44,6 @@ from .flagcells import (
     is_parabolic_member,
     phi_flag,
     s_reduce,
-    sigma_stats,
     tau_for_lambda,
     theta_word,
 )
@@ -407,7 +407,7 @@ def _check_theta_transport(max_n: int, cap: int) -> tuple[bool, int, str]:
             seen = set()
             for sigma in enumerate_partitions(shape, cap=cap):
                 word = theta_word(sigma)
-                if inversion_count(word) != sigma_stats(sigma).lam:
+                if inversion_count(word) != cell_dimension(sigma):
                     return False, cases, f"transport fails for {sigma.blocks}"
                 seen.add(word.letters)
             if len(seen) != shape.multinomial():
@@ -437,21 +437,26 @@ def _check_cell_decomposition(max_n: int, cap: int) -> tuple[bool, int, str]:
     for d in [(1,), (2,), (1, 2)]:
         shape = FlagShape(3, d)
         forms: dict[tuple, int] = {}
+        cells: dict[tuple, int] = {}
         for matrix in group:
             sigma, form, g = cell_form(matrix, shape)
             if not is_parabolic_member(g, shape):
                 return False, cases, f"non-parabolic transition for d={d}"
             if not form.matches_pattern():
                 return False, cases, f"pattern violated for d={d}"
-            if form.free_entry_count() != sigma_stats(sigma).lam:
-                return False, cases, f"free-entry count differs from lam for d={d}"
             forms[form.matrix.entries] = forms.get(form.matrix.entries, 0) + 1
+            cells[sigma.blocks] = cells.get(sigma.blocks, 0) + 1
             cases += 1
         expected = q_multinomial(shape).eval_at(2)
         if len(forms) != expected:
             return False, cases, f"wrong number of forms for d={d}"
-        if any(size != len(group) // expected for size in forms.values()):
+        coset = len(group) // expected
+        if any(size != coset for size in forms.values()):
             return False, cases, f"uneven coset sizes for d={d}"
+        # each cell holds 2^lam forms, each form a whole coset
+        for sigma in enumerate_partitions(shape, cap=cap):
+            if cells.get(sigma.blocks, 0) != coset * 2 ** cell_dimension(sigma):
+                return False, cases, f"cell of {sigma.blocks} does not hold 2^lam cosets"
     return True, cases, f"{len(group)} matrices, 3 cut sequences"
 
 
@@ -488,7 +493,7 @@ def _check_tau(max_n: int, cap: int) -> tuple[bool, int, str]:
     for n in range(2, min(max_n, 8) + 1):
         for d1 in range(1, n):
             for k in range(d1 * (n - d1) + 1):
-                if sigma_stats(tau_for_lambda(n, d1, k)).lam != k:
+                if cell_dimension(tau_for_lambda(n, d1, k)) != k:
                     return False, cases, f"tau misses target n={n}, d1={d1}, k={k}"
                 cases += 1
     return True, cases, f"{cases} targets"

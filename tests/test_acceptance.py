@@ -52,7 +52,9 @@ def test_c01_mahonian_oracle_equivalence(verify_check):
 
 @criterion(2, "reference inversion counts and the prefix log-concavity failure")
 def test_c02_reference_values():
-    # I_10(12) = 47043 and I_10(20) = 230131 by four independent routes
+    # I_10(12) = 47043 and I_10(20) = 230131 by four routes: the table and
+    # product routes share one factor-kernel call, while the binomial sum and
+    # the exact division are independent of it and of each other
     table_route = mahonian_table(FlagShape.full(10))
     product_route = full_mahonian(10)
     f10 = IntPoly.one()

@@ -48,6 +48,13 @@ def test_inv_routes_agree(capsys):
     assert len(set(values)) == 1
 
 
+@pytest.mark.parametrize("method", ["table", "denumerant", "binomial"])
+def test_inv_rejects_negative_k_on_every_route(method, capsys):
+    code, out, err = run_cli(["inv", "4", "--d", "1,2,3", "--k", "-1", "--method", method], capsys)
+    assert (code, out) == (1, "")
+    assert "inversion count must be nonnegative" in err
+
+
 def test_inv_binomial_route_requires_full_cuts(capsys):
     code, _, err = run_cli(["inv", "6", "--d", "2", "--k", "3", "--method", "binomial"], capsys)
     assert code == 1
@@ -226,6 +233,14 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text() == "k,count\n0,1\n1,1\n2,1\n"
+
+
+@pytest.mark.parametrize("target", ["missing/row.csv", "."])
+def test_out_to_an_unwritable_path_is_an_error(target, tmp_path, capsys):
+    path = tmp_path / target
+    code, out, err = run_cli(["qbinom", "4", "2", "--out", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"qcomb: error: cannot write {path}: ")
 
 
 def test_env_cap_override(monkeypatch, capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from qcomb import (
     FlagShape,
-    PsiTable,
     ResourceLimitError,
     ValidationError,
     WeightVector,
@@ -127,17 +126,6 @@ def test_exp_log_matches_literal_multi_index_sum():
             assert psi(n, r, "exp-log") == _psi_multi_index(n, r)
 
 
-def test_psi_table_symmetry_and_bound():
-    for n in range(1, 13):
-        table = PsiTable.for_n(n)
-        top = n * (n + 1) // 2
-        assert table.value(0) == 1
-        sign = (-1) ** n
-        for r in range(top + 1):
-            assert table.value(r) == sign * table.value(top - r)
-            assert abs(table.value(r)) <= math.comb(n - 1 + r, n - 1)
-
-
 def test_restricted_divisor_sum():
     assert restricted_divisor_sum(5, 6) == 6
     assert restricted_divisor_sum(3, 1) == 1
@@ -202,12 +190,3 @@ def test_denumerant_bounds_examples():
         for m in range(10):
             lower, upper = denumerant_bounds(shape, m)
             assert lower == upper == math.comb(n - 1 + m, n - 1)
-
-
-def test_denumerant_bounds_sweep():
-    for n in range(1, 7):
-        for shape in all_shapes(n):
-            w = epsilon_weights(shape)
-            for m in range(31):
-                lower, upper = denumerant_bounds(shape, m)
-                assert lower <= denumerant(w, m) <= upper

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcomb import (
+    CellForm,
     Flag,
     FlagShape,
     FpMatrix,
@@ -14,8 +15,8 @@ from qcomb import (
     ResourceLimitError,
     ValidationError,
     all_shapes,
+    cell_dimension,
     cell_form,
-    cell_free_rows,
     cell_sum_poly,
     enumerate_flags,
     enumerate_general_linear,
@@ -29,7 +30,6 @@ from qcomb import (
     q_multinomial,
     reduced_echelon_bases,
     s_reduce,
-    sigma_stats,
     tau_for_lambda,
     theta_word,
 )
@@ -286,20 +286,11 @@ def test_enumerate_partitions_counts():
         list(enumerate_partitions(FlagShape.full(10), cap=100))
 
 
-def test_sigma_stats_example():
+def test_cell_dimension_example():
     sigma = OrderedSetPartition(FlagShape(3, (2,)), ((1, 2), (3,)))
-    stats = sigma_stats(sigma)
-    assert stats.perm == (1, 2, 3)
-    assert stats.mu == (1, 1, 2)
-    assert stats.delta == (1, 1, 0)
-    assert stats.lam == 2
-
-
-def test_sigma_stats_delta_counts_the_free_rows():
-    for n in range(1, 7):
-        for shape in all_shapes(n):
-            for sigma in enumerate_partitions(shape):
-                assert sigma_stats(sigma).delta == tuple(map(len, cell_free_rows(sigma)))
+    # row 3 is free under the pivots of columns 1 and 2, above none of them
+    assert cell_dimension(sigma) == 2
+    assert cell_dimension(sigma, anti=True) == 0
 
 
 def test_lambda_extremes():
@@ -310,18 +301,18 @@ def test_lambda_extremes():
             ident = OrderedSetPartition(
                 shape, tuple(tuple(range(c[i] + 1, c[i + 1] + 1)) for i in range(shape.r + 1))
             )
-            assert sigma_stats(ident).lam == shape.nu
+            assert cell_dimension(ident) == shape.nu
             # blocks stacked from the top yield dimension zero
             bottom = OrderedSetPartition(
                 shape,
                 tuple(tuple(range(n - c[i + 1] + 1, n - c[i] + 1)) for i in range(shape.r + 1)),
             )
-            assert sigma_stats(bottom).lam == 0
+            assert cell_dimension(bottom) == 0
             for sigma in enumerate_partitions(shape):
-                stats = sigma_stats(sigma)
-                assert 0 <= stats.lam <= shape.nu
-                assert (stats.lam == shape.nu) == (stats.perm == tuple(range(1, n + 1)))
-                assert (stats.lam == 0) == (all(d == 0 for d in stats.delta))
+                lam = cell_dimension(sigma)
+                assert 0 <= lam <= shape.nu
+                assert (lam == shape.nu) == (sigma == ident)
+                assert (lam == 0) == (sigma == bottom)
 
 
 def test_theta_word_examples():
@@ -331,15 +322,15 @@ def test_theta_word_examples():
     assert inversion_count(word) == 2
     sigma = OrderedSetPartition(FlagShape(2, (1,)), ((2,), (1,)))
     assert theta_word(sigma).letters == (1, 2)
-    assert sigma_stats(sigma).lam == 0
+    assert cell_dimension(sigma) == 0
 
 
 def test_anti_dimension_is_inversion_count_of_derived_permutation():
     for n in range(1, 7):
         for shape in all_shapes(n):
             for sigma in enumerate_partitions(shape):
-                anti_dim = sum(len(rows) for rows in cell_free_rows(sigma, anti=True))
-                assert anti_dim == inversion_count(sigma_stats(sigma).perm)
+                perm = [v for block in sigma.blocks for v in block]
+                assert cell_dimension(sigma, anti=True) == inversion_count(perm)
 
 
 def test_cell_sum_examples():
@@ -350,7 +341,7 @@ def test_cell_sum_examples():
 def test_tau_examples():
     tau = tau_for_lambda(4, 2, 3)
     assert tau.blocks[0] == (1, 3)
-    assert sigma_stats(tau).lam == 3
+    assert cell_dimension(tau) == 3
     assert tau_for_lambda(6, 2, 0).blocks[0] == (5, 6)
     assert tau_for_lambda(6, 2, 8).blocks[0] == (1, 2)
     with pytest.raises(ValidationError):
@@ -398,6 +389,22 @@ def test_cell_form_random_shapes():
                     assert form3.matrix.entries == form.matrix.entries
 
 
+def test_matches_pattern_frees_lambda_entries():
+    # setting one entry of a pivot pattern to 2 keeps the form only on a free entry
+    for shape in all_shapes(4):
+        for sigma in enumerate_partitions(shape):
+            pivots = [v for block in sigma.blocks for v in block]
+            base = [[int(i == v) for v in pivots] for i in range(1, 5)]
+            for anti in (False, True):
+                assert CellForm(sigma, FpMatrix(3, base), anti).matches_pattern()
+                accepted = 0
+                for i, j in itertools.product(range(4), repeat=2):
+                    rows = [list(row) for row in base]
+                    rows[i][j] = 2
+                    accepted += CellForm(sigma, FpMatrix(3, rows), anti).matches_pattern()
+                assert accepted == cell_dimension(sigma, anti)
+
+
 def test_cell_decomposition_gl32_exhaustive():
     group = list(enumerate_general_linear(3, 2))
     assert len(group) == 168
@@ -405,10 +412,9 @@ def test_cell_decomposition_gl32_exhaustive():
         shape = FlagShape(3, d)
         by_form = Counter()
         for matrix in group:
-            sigma, form, g = cell_form(matrix, shape)
+            _, form, g = cell_form(matrix, shape)
             assert is_parabolic_member(g, shape)
             assert form.matches_pattern()
-            assert form.free_entry_count() == sigma_stats(sigma).lam
             by_form[form.matrix.entries] += 1
         expected = q_multinomial(shape).eval_at(2)
         assert len(by_form) == expected
@@ -418,20 +424,7 @@ def test_cell_decomposition_gl32_exhaustive():
             sigma, _, _ = cell_form(FpMatrix(2, entries), shape)
             by_sigma[sigma.blocks] += 1
         for sigma in enumerate_partitions(shape):
-            assert by_sigma[sigma.blocks] == 2 ** sigma_stats(sigma).lam
-
-
-def test_same_form_iff_same_coset():
-    group = list(enumerate_general_linear(3, 2))
-    shape = FlagShape(3, (1, 2))
-    forms = [cell_form(m, shape)[1].matrix.entries for m in group]
-    inverses = [m.inverse() for m in group]
-    rng = random.Random(RNG_SEED)
-    for a in range(len(group)):
-        for b in rng.sample(range(len(group)), 30):
-            same_form = forms[a] == forms[b]
-            same_coset = is_parabolic_member(inverses[b] @ group[a], shape)
-            assert same_form == same_coset
+            assert by_sigma[sigma.blocks] == 2 ** cell_dimension(sigma)
 
 
 # ---------------------------------------------------------------------------

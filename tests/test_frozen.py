@@ -30,9 +30,10 @@ def test_repr_lists_the_fields():
 
 def test_derived_attributes_are_not_fields():
     shape = FlagShape(5, (2, 3))
-    assert (shape.cuts, shape.block_sizes, shape.sorted_letters) == (
-        (0, 2, 3, 5), (2, 1, 2), (1, 1, 2, 3, 3))
-    assert "cuts" not in repr(shape)
+    assert (shape.cuts, shape.block_sizes, shape.sorted_letters, shape.nu, shape.eta) == (
+        (0, 2, 3, 5), (2, 1, 2), (1, 1, 2, 3, 3), 8, 2)
+    assert repr(shape) == "FlagShape(n=5, d=(2, 3))"
+    assert hash(shape) == hash((5, (2, 3)))
 
 
 def test_assignment_and_deletion_raise():

@@ -136,7 +136,14 @@ def test_series_coefficient_bounds():
 
 def test_docstring_examples():
     import doctest
+    import importlib
+    import pkgutil
 
-    import qcomb.polycore
+    import qcomb
 
-    assert doctest.testmod(qcomb.polycore).failed == 0
+    results = [
+        doctest.testmod(importlib.import_module(f"qcomb.{module.name}"))
+        for module in pkgutil.iter_modules(qcomb.__path__)
+    ]
+    assert sum(r.failed for r in results) == 0
+    assert sum(r.attempted for r in results) > 0
