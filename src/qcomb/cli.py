@@ -43,7 +43,7 @@ from .denumerant import (
     psi,
 )
 from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, frozen
-from .flagcells import cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
+from .flagcells import _require_prime, cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_binomial, q_multinomial
@@ -216,6 +216,7 @@ def _cmd_bounds(args) -> tuple[OutputRecord, int]:
 
 def _cmd_flags(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
+    _require_prime(args.p)  # --cells never builds a matrix, so check p here for both modes
     params = {"n": str(args.n), "d": [str(x) for x in shape.d], "p": str(args.p)}
     if args.cells:
         rows = []

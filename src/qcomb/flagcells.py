@@ -302,6 +302,14 @@ class OrderedSetPartition:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", data)
 
+    @classmethod
+    def _wrap(cls, shape: FlagShape, blocks: tuple[tuple[int, ...], ...]) -> OrderedSetPartition:
+        """A partition from tuples known to be valid blocks, unchecked, for enumerators."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "shape", shape)
+        object.__setattr__(sigma, "blocks", blocks)
+        return sigma
+
 
 def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[OrderedSetPartition]:
     """Every ordered set partition with the shape's block sizes, lex order.
@@ -309,7 +317,8 @@ def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[O
     Each block but the last is a choice of positions among the elements not
     yet placed; the choices and the positions each leaves over depend only on
     the block's level, so they are listed once per level.  The last block
-    takes what is left.
+    takes what is left.  The partitions are valid by construction and built
+    unchecked; test_enumerated_objects_match_public_constructors pins them.
     """
     check_cap(shape.multinomial(), cap, "ordered set partition enumeration")
     splits = []
@@ -333,7 +342,7 @@ def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[O
                 yield (first,) + tail
 
     for blocks in rec(tuple(range(1, shape.n + 1)), 0):
-        yield OrderedSetPartition(shape, blocks)
+        yield OrderedSetPartition._wrap(shape, blocks)
 
 
 def cell_dimension(sigma: OrderedSetPartition, anti: bool = False) -> int:
@@ -362,7 +371,8 @@ def theta_word(sigma: OrderedSetPartition) -> MultisetWord:
     Position i receives the index of the block containing element n - i + 1.
     The map is a bijection onto the words of the shape's block content, and
     the word's inversion count equals the cell dimension lam(sigma): both
-    count element pairs u < v with v in a strictly later block than u.
+    count element pairs u < v with v in a strictly later block than u.  Built
+    unchecked; test_enumerated_objects_match_public_constructors and word-transport pin it.
     """
     n = sigma.shape.n
     member = [0] * (n + 1)
@@ -370,7 +380,7 @@ def theta_word(sigma: OrderedSetPartition) -> MultisetWord:
         for v in block:
             member[v] = ell
     letters = tuple(member[n - i + 1] for i in range(1, n + 1))
-    return MultisetWord(letters, sigma.shape)
+    return MultisetWord._wrap(letters, sigma.shape)
 
 
 @frozen
@@ -502,6 +512,15 @@ class Flag:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "bases", data)
 
+    @classmethod
+    def _wrap(cls, shape: FlagShape, p: int, bases: tuple[FpMatrix, ...]) -> Flag:
+        """A flag from a chain of nested bases over a checked p, unchecked, for enumerators."""
+        flag = object.__new__(cls)
+        object.__setattr__(flag, "shape", shape)
+        object.__setattr__(flag, "p", p)
+        object.__setattr__(flag, "bases", bases)
+        return flag
+
 
 def phi_flag(A: FpMatrix, shape: FlagShape) -> Flag:
     """The flag spanned by the leading column blocks of an invertible matrix."""
@@ -567,7 +586,8 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
 
     Every basis of each level is tested against every basis of the level
     before; a chain extends by the bases that contain its last one, so each
-    pair is tested once however many chains end in the smaller basis.
+    pair is tested once however many chains end in the smaller basis.  Flags are
+    built unchecked; test_enumerated_objects_match_public_constructors pins them.
     """
     _require_prime(p)
     check_cap(q_multinomial(shape).eval_at(p), cap, "flag enumeration")
@@ -586,7 +606,7 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
             above = [range(len(level))]
         chains = [(bases + (level[k],), k) for bases, j in chains for k in above[j]]
         previous = level
-    return [Flag(shape, p, bases) for bases, _ in chains]
+    return [Flag._wrap(shape, p, bases) for bases, _ in chains]
 
 
 def flag_count_group_formula(shape: FlagShape, p: int) -> int:

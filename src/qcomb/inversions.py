@@ -36,6 +36,14 @@ class MultisetWord:
         object.__setattr__(self, "letters", data)
         object.__setattr__(self, "shape", shape)
 
+    @classmethod
+    def _wrap(cls, letters: tuple[int, ...], shape: FlagShape) -> MultisetWord:
+        """A word from a tuple with the shape's letter content, unchecked, for enumerators."""
+        word = object.__new__(cls)
+        object.__setattr__(word, "letters", letters)
+        object.__setattr__(word, "shape", shape)
+        return word
+
 
 @frozen
 class MahonianTable:
@@ -73,12 +81,13 @@ def enumerate_words(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[Multis
 
     Knuth's Algorithm L (TAOCP Vol. 4A, 7.2.1.2) steps from each word to the
     next: find the rightmost ascent a[j] < a[j+1], swap a[j] with the
-    smallest larger letter to its right, and reverse the tail after j.
+    smallest larger letter to its right, and reverse the tail after j.  Words
+    are built unchecked; test_enumerated_objects_match_public_constructors pins them.
     """
     check_cap(shape.multinomial(), cap, "multiset word enumeration")
     a = list(shape.sorted_letters)
     while True:
-        yield MultisetWord(a, shape)
+        yield MultisetWord._wrap(tuple(a), shape)
         j = len(a) - 2
         while j >= 0 and a[j] >= a[j + 1]:
             j -= 1

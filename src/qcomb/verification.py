@@ -48,6 +48,7 @@ from .flagcells import (
     theta_word,
 )
 from .inversions import (
+    enumerate_words,
     full_mahonian,
     inv_bounds,
     inversion_count,
@@ -410,7 +411,7 @@ def _check_theta_transport(max_n: int, cap: int) -> tuple[bool, int, str]:
                 if inversion_count(word) != cell_dimension(sigma):
                     return False, cases, f"transport fails for {sigma.blocks}"
                 seen.add(word.letters)
-            if len(seen) != shape.multinomial():
+            if seen != {w.letters for w in enumerate_words(shape, cap=cap)}:
                 return False, cases, f"word map not bijective for {shape}"
             cases += 1
     return True, cases, f"{cases} shapes"

@@ -143,6 +143,19 @@ def test_flags_cells_total(capsys):
     assert len(lines) == 2 + 6
 
 
+@pytest.mark.parametrize("n, p, message", [
+    ("2", "4", "must be prime, got 4"),
+    ("2", "1", "must be prime, got 1"),
+    ("2", "-3", "must be prime, got -3"),
+    ("2", str(10**30), "must be below 2^64"),
+    ("20", "4", "must be prime, got 4"),  # rejected before the cap on 20! partitions
+])
+def test_flags_cells_requires_a_prime(n, p, message, capsys):
+    code, out, err = run_cli(["flags", n, "--p", p, "--cells"], capsys)
+    assert (code, out) == (1, "")
+    assert message in err
+
+
 def test_flags_listing_matches_count(capsys):
     code, out, _ = run_cli(["flags", "2", "--d", "1", "--p", "3", "--format", "csv"], capsys)
     assert code == 0

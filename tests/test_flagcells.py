@@ -11,6 +11,7 @@ from qcomb import (
     Flag,
     FlagShape,
     FpMatrix,
+    MultisetWord,
     OrderedSetPartition,
     ResourceLimitError,
     ValidationError,
@@ -21,6 +22,7 @@ from qcomb import (
     enumerate_flags,
     enumerate_general_linear,
     enumerate_partitions,
+    enumerate_words,
     flag_count_group_formula,
     inversion_count,
     is_parabolic_member,
@@ -284,6 +286,30 @@ def test_enumerate_partitions_counts():
             assert len({s.blocks for s in sigmas}) == len(sigmas)
     with pytest.raises(ResourceLimitError):
         list(enumerate_partitions(FlagShape.full(10), cap=100))
+
+
+def _assert_public_twin(built, public):
+    assert built == public and hash(built) == hash(public) and repr(built) == repr(public)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerated_objects_match_public_constructors(n):
+    # the enumerators and theta_word skip the public constructors' checks;
+    # each object they build must pass those checks and equal the checked copy
+    for shape in all_shapes(n):
+        for word in enumerate_words(shape):
+            assert type(word.letters) is tuple
+            _assert_public_twin(word, MultisetWord(word.letters, shape))
+        for sigma in enumerate_partitions(shape):
+            assert type(sigma.blocks) is tuple and all(type(b) is tuple for b in sigma.blocks)
+            _assert_public_twin(sigma, OrderedSetPartition(shape, sigma.blocks))
+            word = theta_word(sigma)
+            assert type(word.letters) is tuple
+            _assert_public_twin(word, MultisetWord(word.letters, shape))
+        for p in (2, 3) if n <= 4 else ():
+            for flag in enumerate_flags(shape, p):
+                assert type(flag.bases) is tuple
+                _assert_public_twin(flag, Flag(shape, p, flag.bases))
 
 
 def test_cell_dimension_example():
