@@ -6,9 +6,12 @@ block-upper-triangular subgroup fixes the flag, and each coset contains a
 unique representative in a normal form indexed by an ordered set partition
 of the row indices: each block's columns are in reduced column-echelon form
 with pivot rows given by the block, and rows claimed by earlier blocks are
-zeroed out.  The number of unconstrained entries of that normal form is the
-cell dimension, and transporting the partition to a multiset word turns the
-dimension into an inversion count.
+zeroed out.  One column elimination, `_column_reduce`, computes every normal
+form: `s_reduce` is its one-block case and `cell_form` runs it block by block,
+recording each column operation in the transition matrix g.  The number of
+unconstrained entries of that normal form is the cell dimension, and
+transporting the partition to a multiset word turns the dimension into an
+inversion count.
 
 Everything is exact arithmetic over F_p, p a prime below 2^64.
 """
@@ -103,17 +106,11 @@ class FpMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.entries)
 
     def column_block(self, start: int, stop: int) -> FpMatrix:
         return FpMatrix._wrap(self.p, tuple(row[start:stop] for row in self.entries))
-
-    def select_rows(self, indices: Sequence[int]) -> FpMatrix:
-        return FpMatrix._wrap(self.p, tuple(self.entries[i] for i in indices))
 
     def hstack(self, other: FpMatrix) -> FpMatrix:
         self._check_modulus(other)
@@ -121,32 +118,9 @@ class FpMatrix:
             raise ValidationError("row counts differ in hstack")
         return FpMatrix._wrap(self.p, tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def flip_rows(self) -> FpMatrix:
-        return FpMatrix._wrap(self.p, self.entries[::-1])
-
-    def reverse_columns(self) -> FpMatrix:
-        return FpMatrix._wrap(self.p, tuple(row[::-1] for row in self.entries))
-
     def _check_modulus(self, other: FpMatrix) -> None:
         if self.p != other.p:
             raise ValidationError(f"mixed moduli {self.p} and {other.p}")
-
-    def __add__(self, other: FpMatrix) -> FpMatrix:
-        self._check_modulus(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValidationError("shape mismatch in matrix addition")
-        p = self.p
-        return FpMatrix._wrap(
-            p,
-            tuple(
-                tuple((a + b) % p for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            ),
-        )
-
-    def __neg__(self) -> FpMatrix:
-        p = self.p
-        return FpMatrix._wrap(p, tuple(tuple(-x % p for x in row) for row in self.entries))
 
     def __matmul__(self, other: FpMatrix) -> FpMatrix:
         self._check_modulus(other)
@@ -201,10 +175,6 @@ class FpMatrix:
                     work[r] = [(a - f * b) % p for a, b in zip(work[r], work[col])]
         return FpMatrix._wrap(p, tuple(tuple(row[n:]) for row in work))
 
-    def solve(self, rhs: FpMatrix) -> FpMatrix:
-        """X with self @ X = rhs, for square invertible self."""
-        return self.inverse() @ rhs
-
 
 def s_reduce(matrix: FpMatrix, anti: bool = False) -> tuple[tuple[int, ...], FpMatrix, FpMatrix]:
     """Reduced column-echelon form of a full-column-rank n x e matrix.
@@ -213,43 +183,55 @@ def s_reduce(matrix: FpMatrix, anti: bool = False) -> tuple[tuple[int, ...], FpM
     reduced form with strictly increasing 1-based pivot rows s: pivot
     entries are 1, pivot rows vanish outside their own column, and entries
     above each pivot (below, for the anti form) vanish.  The pivot sequence
-    is an invariant of the column space.
+    is an invariant of the column space.  This is `_column_reduce` on one
+    block, with g starting as the identity.
     """
-    if anti:
-        s_flip, reduced, g = _s_reduce_straight(matrix.flip_rows())
-        n = matrix.rows
-        pivots = tuple(sorted(n + 1 - x for x in s_flip))
-        return pivots, reduced.flip_rows().reverse_columns(), g.reverse_columns()
-    return _s_reduce_straight(matrix)
-
-
-def _s_reduce_straight(matrix: FpMatrix) -> tuple[tuple[int, ...], FpMatrix, FpMatrix]:
-    n, e, p = matrix.rows, matrix.cols, matrix.p
-    cols = [list(matrix.column(j)) for j in range(e)]
+    e, p = matrix.cols, matrix.p
+    cols = [list(column) for column in zip(*matrix.entries)]
     gcols = [[1 if i == j else 0 for i in range(e)] for j in range(e)]
+    pivots = _column_reduce(p, matrix.rows, cols, gcols, 0, e, anti)
+    return pivots, _from_columns(p, cols, matrix.rows), _from_columns(p, gcols, e)
+
+
+def _column_reduce(
+    p: int, n: int, cols: list[list[int]], gcols: list[list[int]], start: int, stop: int, anti: bool
+) -> tuple[int, ...]:
+    """Column-reduce the block cols[start:stop] of length-n columns in place,
+    doing each column operation to `gcols` too; returns its 1-based pivot rows.
+
+    Rows are scanned from the top (from the bottom, for the anti form).  On
+    each row, the block's first column without a pivot that is nonzero there
+    becomes the next pivot column: it moves into place, its entry is scaled to
+    1, and the row is cleared from every other column from `start` on, so the
+    later blocks lose the rows this block claims.  The anti scan finds the
+    pivots bottom-up; one reversal leaves the block in increasing pivot order.
+    """
     pivots: list[int] = []
-    for j in range(e):
-        located = None
-        for i in range(n):
-            hit = next((c for c in range(j, e) if cols[c][i]), None)
-            if hit is not None:
-                located = (i, hit)
-                break
-        if located is None:
-            raise ValidationError(f"matrix has rank below {e}, cannot column-reduce")
-        row, c = located
+    for i in reversed(range(n)) if anti else range(n):
+        j = start + len(pivots)
+        if j == stop:
+            break
+        c = next((c for c in range(j, stop) if cols[c][i]), None)
+        if c is None:
+            continue
         cols[j], cols[c] = cols[c], cols[j]
         gcols[j], gcols[c] = gcols[c], gcols[j]
-        inv = pow(cols[j][row], -1, p)
-        cols[j] = [(x * inv) % p for x in cols[j]]
-        gcols[j] = [(x * inv) % p for x in gcols[j]]
-        for c2 in range(e):
-            if c2 != j and cols[c2][row]:
-                f = cols[c2][row]
-                cols[c2] = [(a - f * b) % p for a, b in zip(cols[c2], cols[j])]
-                gcols[c2] = [(a - f * b) % p for a, b in zip(gcols[c2], gcols[j])]
-        pivots.append(row + 1)
-    return tuple(pivots), _from_columns(p, cols, n), _from_columns(p, gcols, e)
+        inv = pow(cols[j][i], -1, p)
+        col = cols[j] = [x * inv % p for x in cols[j]]
+        gcol = gcols[j] = [x * inv % p for x in gcols[j]]
+        for k in range(start, len(cols)):
+            f = cols[k][i]
+            if f and k != j:
+                cols[k] = [(a - f * b) % p for a, b in zip(cols[k], col)]
+                gcols[k] = [(a - f * b) % p for a, b in zip(gcols[k], gcol)]
+        pivots.append(i + 1)
+    if start + len(pivots) < stop:
+        raise ValidationError(f"matrix has rank below {stop - start}, cannot column-reduce")
+    if anti:
+        cols[start:stop] = cols[start:stop][::-1]
+        gcols[start:stop] = gcols[start:stop][::-1]
+        pivots.reverse()
+    return tuple(pivots)
 
 
 def _from_columns(p: int, columns: list[list[int]], nrows: int) -> FpMatrix:
@@ -258,24 +240,15 @@ def _from_columns(p: int, columns: list[list[int]], nrows: int) -> FpMatrix:
 
 def is_parabolic_member(g: FpMatrix, shape: FlagShape) -> bool:
     """True iff g is invertible and block-upper-triangular for the shape's
-    blocks, with invertible diagonal blocks."""
+    blocks.  A block-triangular matrix is invertible exactly when its diagonal
+    blocks are, so this is a zero test below the diagonal blocks and one rank."""
     n = shape.n
     if g.rows != n or g.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
-    c = shape.cuts
-    blocks = len(c) - 1
-    for bi in range(blocks):
-        for bj in range(bi):
-            for i in range(c[bi], c[bi + 1]):
-                for j in range(c[bj], c[bj + 1]):
-                    if g.entry(i, j):
-                        return False
-    for bi in range(blocks):
-        size = c[bi + 1] - c[bi]
-        diag = g.select_rows(range(c[bi], c[bi + 1])).column_block(c[bi], c[bi + 1])
-        if diag.rank() != size:
-            return False
-    return True
+    c, rows = shape.cuts, g.entries
+    if any(any(row[:start]) for start, stop in zip(c, c[1:]) for row in rows[start:stop]):
+        return False
+    return g.rank() == n
 
 
 @frozen
@@ -422,34 +395,24 @@ def cell_form(
 ) -> tuple[OrderedSetPartition, CellForm, FpMatrix]:
     """The unique normal form in the coset of A.
 
-    Proceeds block by block: correct the current column block by earlier
-    reduced blocks so that all previously claimed pivot rows vanish, then
-    column-reduce what is left.  Returns (sigma, form, g) with
-    form.matrix = A @ g and g block-upper-triangular.
+    One column elimination on A's columns, `_column_reduce` block by block,
+    with g starting as the identity and taking every column operation.  Each
+    pivot row a block claims is cleared from the later blocks' columns as the
+    pivot is found, so each block is reduced with the earlier blocks' rows
+    already zero.  Returns (sigma, form, g) with form.matrix = A @ g and g
+    block-upper-triangular.
     """
     n = shape.n
     if A.rows != n or A.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
-    A_inverse = A.inverse()  # raises "matrix is singular"
-    cuts = shape.cuts
-    stacked: FpMatrix | None = None  # the reduced blocks so far, side by side
-    sigma_blocks: list[tuple[int, ...]] = []
-    claimed: list[int] = []  # pivot rows in block order, 1-based
-    for m in range(shape.r + 1):
-        block = A.column_block(cuts[m], cuts[m + 1])
-        if stacked is not None:
-            rows0 = [x - 1 for x in claimed]
-            # stacked restricted to claimed rows is unitriangular by blocks,
-            # so the correction below always has a unique solution
-            correction = stacked.select_rows(rows0).solve(-block.select_rows(rows0))
-            block = block + stacked @ correction
-        pivots, reduced, _ = s_reduce(block, anti=anti)
-        stacked = reduced if stacked is None else stacked.hstack(reduced)
-        sigma_blocks.append(pivots)
-        claimed.extend(pivots)
-    sigma = OrderedSetPartition(shape, tuple(sigma_blocks))
-    g = A_inverse @ stacked
-    return sigma, CellForm(sigma, stacked, anti), g
+    if A.rank() != n:
+        raise ValidationError("matrix is singular")
+    p, cuts = A.p, shape.cuts
+    cols = [list(column) for column in zip(*A.entries)]
+    gcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
+    blocks = [_column_reduce(p, n, cols, gcols, a, b, anti) for a, b in zip(cuts, cuts[1:])]
+    sigma = OrderedSetPartition(shape, blocks)
+    return sigma, CellForm(sigma, _from_columns(p, cols, n), anti), _from_columns(p, gcols, n)
 
 
 def cell_sum_poly(shape: FlagShape, anti: bool = False, cap: int = DEFAULT_CAP) -> IntPoly:

@@ -10,6 +10,7 @@ none fails.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -31,7 +32,7 @@ from .denumerant import (
     restricted_divisor_sum,
     signed_subset_identity_check,
 )
-from .errors import DEFAULT_CAP, SUITE_NAMES, ValidationError, frozen
+from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, frozen
 from .flagcells import (
     FpMatrix,
     cell_dimension,
@@ -435,29 +436,31 @@ def _check_cell_decomposition(max_n: int, cap: int) -> tuple[bool, int, str]:
         return True, 0, "skipped below n=3"
     group = list(enumerate_general_linear(3, 2, cap=cap))
     cases = 0
-    for d in [(1,), (2,), (1, 2)]:
+    for d, anti in itertools.product([(1,), (2,), (1, 2)], (False, True)):
         shape = FlagShape(3, d)
+        where = f"d={d}{', anti' if anti else ''}"
         forms: dict[tuple, int] = {}
         cells: dict[tuple, int] = {}
         for matrix in group:
-            sigma, form, g = cell_form(matrix, shape)
+            sigma, form, g = cell_form(matrix, shape, anti)
             if not is_parabolic_member(g, shape):
-                return False, cases, f"non-parabolic transition for d={d}"
+                return False, cases, f"non-parabolic transition for {where}"
             if not form.matches_pattern():
-                return False, cases, f"pattern violated for d={d}"
+                return False, cases, f"pattern violated for {where}"
             forms[form.matrix.entries] = forms.get(form.matrix.entries, 0) + 1
             cells[sigma.blocks] = cells.get(sigma.blocks, 0) + 1
             cases += 1
         expected = q_multinomial(shape).eval_at(2)
         if len(forms) != expected:
-            return False, cases, f"wrong number of forms for d={d}"
+            return False, cases, f"wrong number of forms for {where}"
         coset = len(group) // expected
         if any(size != coset for size in forms.values()):
-            return False, cases, f"uneven coset sizes for d={d}"
+            return False, cases, f"uneven coset sizes for {where}"
         # each cell holds 2^lam forms, each form a whole coset
         for sigma in enumerate_partitions(shape, cap=cap):
-            if cells.get(sigma.blocks, 0) != coset * 2 ** cell_dimension(sigma):
-                return False, cases, f"cell of {sigma.blocks} does not hold 2^lam cosets"
+            if cells.get(sigma.blocks, 0) != coset * 2 ** cell_dimension(sigma, anti):
+                detail = f"cell of {sigma.blocks} does not hold 2^lam cosets for {where}"
+                return False, cases, detail
     return True, cases, f"{len(group)} matrices, 3 cut sequences"
 
 
@@ -585,10 +588,13 @@ def _run_check(
     suite: str, name: str, check: Callable[[int, int], tuple[bool, int, str]], max_n: int, cap: int
 ) -> CheckResult:
     """Run one check, timed; it passes only if it found no mismatch in at
-    least one compared case."""
+    least one compared case.  A check over the cap raises ResourceLimitError,
+    its message prefixed with the check's name."""
     start = time.perf_counter()
     try:
         passed, cases, detail = check(max_n, cap)
+    except ResourceLimitError as exc:  # over budget, not a failed check
+        raise ResourceLimitError(f"{name}: {exc}") from exc
     except Exception as exc:  # a crashed check is a failed check
         passed, cases, detail = False, 0, f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start

@@ -189,6 +189,13 @@ def test_resource_error_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_verify_over_the_cap_exits_2_with_empty_stdout(capsys):
+    code, out, err = run_cli(["verify", "--max-n", "2", "--cap", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("qcomb: resource limit: bounded-multiset-sums: ")
+    assert "above the cap of 1" in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.run(["inv", "5"])  # --k is required
