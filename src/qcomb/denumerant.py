@@ -89,7 +89,7 @@ def denumerant(w: WeightVector, m: int) -> int:
     """Number of ways to write m as a nonnegative combination of the weights; 0 for m < 0."""
     if m < 0:
         return 0
-    return series_reciprocal_product(w.weights, m).coefficient(m)
+    return factor_product((), w.weights, m)[m]
 
 
 def epsilon_weights(shape: FlagShape) -> WeightVector:

@@ -492,11 +492,9 @@ def phi_flag(A: FpMatrix, shape: FlagShape) -> Flag:
         raise ValidationError(f"expected an {n}x{n} matrix")
     if A.rank() != n:
         raise ValidationError("matrix is singular")
-    bases = []
-    for dim in shape.d:
-        _, canonical, _ = s_reduce(A.column_block(0, dim))
-        bases.append(canonical)
-    return Flag(shape, A.p, tuple(bases))
+    # the canonical bases of an invertible matrix's column prefixes are nested and of full rank
+    bases = tuple(s_reduce(A.column_block(0, dim))[1] for dim in shape.d)
+    return Flag._wrap(shape, A.p, bases)
 
 
 def reduced_echelon_bases(n: int, e: int, p: int) -> Iterator[FpMatrix]:

@@ -3,9 +3,11 @@
 Every check pits at least two independent computations of the same
 quantity against each other (brute-force enumeration vs. closed form,
 recurrence vs. quotient, signed sums vs. series expansion) over a sweep
-whose size is controlled by max_n.  Checks report how many cases they
-compared so that a passing run is auditable, and a check that compared
-none fails.
+whose size is controlled by max_n.  A check is a generator: it yields
+None after each case it compared and the mismatch text at its first
+mismatch.  The runner alone counts the cases, stops at the first mismatch
+and words the row, so that a passing run is auditable, and a check that
+compared none fails.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ from .qanalogue import (
 
 _SAMPLE_SEED = 74207281  # fixed so verification output is byte-reproducible
 
+Check = Callable[[int, int], Iterator[str | None]]
+
 
 @frozen
 class CheckResult:
@@ -97,11 +101,10 @@ def _refinement_pairs(n: int) -> Iterator[tuple[FlagShape, FlagShape]]:
 # qanalogue suite
 
 
-def _check_recurrence_vs_quotient(max_n: int, cap: int) -> tuple[bool, int, str]:
+def _check_recurrence_vs_quotient(max_n: int, cap: int) -> Iterator[str | None]:
     # three routes: the Pascal recurrence
     # qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), one row at a time;
     # the factor kernel behind q_binomial; and the q-factorial quotient
-    cases = 0
     row = [IntPoly.one()]
     for n in range(0, max_n + 1):
         if n:
@@ -110,152 +113,129 @@ def _check_recurrence_vs_quotient(max_n: int, cap: int) -> tuple[bool, int, str]
         for e in range(0, n + 1):
             quotient = q_factorial(n).exact_quotient(q_factorial(e) * q_factorial(n - e))
             if not row[e] == q_binomial(n, e) == quotient:
-                return False, cases, f"mismatch at n={n}, e={e}"
-            cases += 1
-    return True, cases, f"{cases} pairs"
+                yield f"mismatch at n={n}, e={e}"
+            yield None
 
 
-def _check_palindrome_symmetry(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_palindrome_symmetry(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(0, max_n + 1):
         for e in range(0, n + 1):
             poly = q_binomial(n, e)
             if poly.reverse(e * (n - e)) != poly:
-                return False, cases, f"not palindromic at n={n}, e={e}"
+                yield f"not palindromic at n={n}, e={e}"
             if poly != q_binomial(n, n - e):
-                return False, cases, f"not symmetric at n={n}, e={e}"
-            cases += 1
-    return True, cases, f"{cases} pairs"
+                yield f"not symmetric at n={n}, e={e}"
+            yield None
 
 
-def _check_partition_coefficients(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_partition_coefficients(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(0, max_n + 1):
         for e in range(0, n + 1):
             poly = q_binomial(n, e)
             for m in range(e * (n - e) + 1):
                 if poly.coefficient(m) != partition_count(e, n - e, m):
-                    return False, cases, f"mismatch at n={n}, e={e}, m={m}"
-                cases += 1
-    return True, cases, f"{cases} coefficients"
+                    yield f"mismatch at n={n}, e={e}, m={m}"
+                yield None
 
 
-def _check_multiset_sums(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_multiset_sums(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 10) + 1):
         for e in range(0, n + 1):
             if multiset_sum_poly(e, n - e, cap=cap) != q_binomial(n, e):
-                return False, cases, f"mismatch at n={n}, e={e}"
-            cases += 1
-    return True, cases, f"{cases} pairs"
+                yield f"mismatch at n={n}, e={e}"
+            yield None
 
 
-def _check_degree_and_total(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_degree_and_total(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, max_n + 1):
         for shape in all_shapes(n):
             poly = q_multinomial(shape)
             if poly.degree != shape.nu:
-                return False, cases, f"degree law fails for {shape}"
+                yield f"degree law fails for {shape}"
             if poly.eval_at(1) != shape.multinomial():
-                return False, cases, f"evaluation at 1 fails for {shape}"
-            cases += 1
-    return True, cases, f"{cases} shapes"
+                yield f"evaluation at 1 fails for {shape}"
+            yield None
 
 
 # ---------------------------------------------------------------------------
 # inversions suite
 
 
-def _check_counters_agree(max_n: int, cap: int) -> tuple[bool, int, str]:
+def _check_counters_agree(max_n: int, cap: int) -> Iterator[str | None]:
     rng = random.Random(_SAMPLE_SEED)
-    cases = 0
     for _ in range(400):
         n = rng.randint(1, max(2, max_n) + 4)
         word = [rng.randint(1, 5) for _ in range(n)]
         if inversion_count(word) != inversion_count_quadratic(word):
-            return False, cases, f"counters disagree on {word}"
-        cases += 1
-    return True, cases, f"{cases} random words"
+            yield f"counters disagree on {word}"
+        yield None
 
 
-def _check_oracle_vs_qmultinomial(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_oracle_vs_qmultinomial(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 8) + 1):
         for shape in all_shapes(n):
             if inversion_distribution_oracle(shape, cap=cap) != q_multinomial(shape):
-                return False, cases, f"distribution mismatch for {shape}"
-            cases += 1
-    return True, cases, f"{cases} shapes"
+                yield f"distribution mismatch for {shape}"
+            yield None
 
 
-def _check_table_shape(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_table_shape(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, max_n + 1):
         for shape in all_shapes(n):
             table = mahonian_table(shape)  # construction enforces the row invariants
             if table.counts != table.counts[::-1] or min(table.counts) < 1:
-                return False, cases, f"row invariants fail for {shape}"
+                yield f"row invariants fail for {shape}"
             ks = range(-1, shape.nu + 2)
             if any(mahonian_coefficient(shape, k) != table.value(k) for k in ks):
-                return False, cases, f"single-coefficient read differs from the table for {shape}"
-            cases += 1
-    return True, cases, f"{cases} tables"
+                yield f"single-coefficient read differs from the table for {shape}"
+            yield None
 
 
-def _check_rowsum_recurrence(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_rowsum_recurrence(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(2, max_n + 1):
         current = full_mahonian(n)
         previous = full_mahonian(n - 1)
         for k in range(n * (n - 1) // 2 + 1):
             expected = sum(previous.value(j) for j in range(max(0, k - n + 1), k + 1))
             if current.value(k) != expected:
-                return False, cases, f"row-sum fails at n={n}, k={k}"
-            cases += 1
-    return True, cases, f"{cases} values"
+                yield f"row-sum fails at n={n}, k={k}"
+            yield None
 
 
-def _check_full_log_concavity(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_full_log_concavity(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(2, max_n + 1):
         failures = log_concavity_scan(full_mahonian(n).counts)
         if failures:
-            return False, cases, f"log-concavity fails for n={n} at {failures}"
-        cases += 1
-    return True, cases, f"n up to {max_n}"
+            yield f"log-concavity fails for n={n} at {failures}"
+        yield None
 
 
-def _check_refinement(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_refinement(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 7) + 1):
         for shape, refined in _refinement_pairs(n):
             recovered = refinement_recurrence(shape, refined)
             direct = mahonian_table(shape)
             if recovered.counts != direct.counts:
-                return False, cases, f"recurrence fails for {shape.d} inside {refined.d}"
+                yield f"recurrence fails for {shape.d} inside {refined.d}"
             bigger = mahonian_table(refined)
             if any(direct.value(k) > bigger.value(k) for k in range(shape.nu + 1)):
-                return False, cases, f"monotonicity fails for {shape.d} inside {refined.d}"
-            cases += 1
-    return True, cases, f"{cases} pairs"
+                yield f"monotonicity fails for {shape.d} inside {refined.d}"
+            yield None
 
 
-def _check_inv_bounds(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_inv_bounds(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 7) + 1):
         for shape in all_shapes(n):
             table = mahonian_table(shape)
             for k in range(shape.nu + 1):
                 lower, upper = inv_bounds(shape, k)
                 if not lower <= table.value(k) <= upper:
-                    return False, cases, f"sandwich fails for {shape}, k={k}"
+                    yield f"sandwich fails for {shape}, k={k}"
                 if shape.eta == 0 and not lower == table.value(k) == upper:
-                    return False, cases, f"eta=0 equality fails for {shape}, k={k}"
+                    yield f"eta=0 equality fails for {shape}, k={k}"
                 if n >= 3 and k >= 2 and shape.eta >= 1 and lower > 0:
-                    return False, cases, f"lower bound positive for {shape}, k={k}"
-                cases += 1
-    return True, cases, f"{cases} values"
+                    yield f"lower bound positive for {shape}, k={k}"
+                yield None
 
 
 # ---------------------------------------------------------------------------
@@ -267,128 +247,113 @@ def _floor_divisor_sum(n: int, k: int) -> int:
     return sum(math.floor(1 + (k // d) - Fraction(k, d)) * d for d in range(1, min(n, k) + 1))
 
 
-def _check_psi_methods(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_psi_methods(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 12) + 1):
         top = n * (n + 1) // 2
         # the exp-log route is built from these sums
         for k in range(1, top + 1):
             if restricted_divisor_sum(n, k) != _floor_divisor_sum(n, k):
-                return False, cases, f"divisor sum disagrees with its floor form at n={n}, k={k}"
+                yield f"divisor sum disagrees with its floor form at n={n}, k={k}"
         table = PsiTable.for_n(n)
         # one exp-log series per n, read at every r; psi's own exp-log route
         # is called once per n, at r = n
         series = _exp_log_coefficients(n, top)
         if psi(n, n, "exp-log") != table.value(n):
-            return False, cases, f"exp-log route disagrees at n={n}, r={n}"
+            yield f"exp-log route disagrees at n={n}, r={n}"
         for r in range(top + 1):
             reference = table.value(r)
             if psi(n, r, "fn-coefficients") != reference:
-                return False, cases, f"truncated expansion disagrees at n={n}, r={r}"
+                yield f"truncated expansion disagrees at n={n}, r={r}"
             if (1 << n) <= cap and psi(n, r, "subset-oracle", cap=cap) != reference:
-                return False, cases, f"subset oracle disagrees at n={n}, r={r}"
+                yield f"subset oracle disagrees at n={n}, r={r}"
             if series[r].denominator != 1:
-                return False, cases, f"exp-log series is not integral at n={n}, r={r}"
+                yield f"exp-log series is not integral at n={n}, r={r}"
             if series[r] != reference:
-                return False, cases, f"exp-log disagrees at n={n}, r={r}"
+                yield f"exp-log disagrees at n={n}, r={r}"
             if 1 <= r <= n and psi(n, r, "pentagonal") != reference:
-                return False, cases, f"pentagonal disagrees at n={n}, r={r}"
-            cases += 1
-    return True, cases, f"{cases} coefficients"
+                yield f"pentagonal disagrees at n={n}, r={r}"
+            yield None
 
 
-def _check_psi_table_invariants(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_psi_table_invariants(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 12) + 1):
         table = PsiTable.for_n(n)
         top = n * (n + 1) // 2
         sign = -1 if n % 2 else 1
         for r in range(top + 1):
             if table.value(r) != sign * table.value(top - r):
-                return False, cases, f"symmetry fails at n={n}, r={r}"
+                yield f"symmetry fails at n={n}, r={r}"
             if abs(table.value(r)) > generalized_binomial(n - 1 + r, n - 1):
-                return False, cases, f"binomial bound fails at n={n}, r={r}"
-            cases += 1
-    return True, cases, f"{cases} coefficients"
+                yield f"binomial bound fails at n={n}, r={r}"
+            yield None
 
 
-def _check_unit_denumerant(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_unit_denumerant(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 6) + 1):
         w = WeightVector.ones(n)
         for m in range(31):
             if denumerant(w, m) != generalized_binomial(n - 1 + m, n - 1):
-                return False, cases, f"unit-weight denumerant fails at n={n}, m={m}"
-            cases += 1
-    return True, cases, f"{cases} values"
+                yield f"unit-weight denumerant fails at n={n}, m={m}"
+            yield None
 
 
-def _check_signed_subset_identity(max_n: int, cap: int) -> tuple[bool, int, str]:
+def _check_signed_subset_identity(max_n: int, cap: int) -> Iterator[str | None]:
     vectors = [
         WeightVector.ones(4),
         WeightVector((1, 2, 3)),
         WeightVector((2, 3)),
         epsilon_weights(FlagShape(5, (2,))),
     ]
-    cases = 0
     for r in range(5):
         for w in vectors:
             if not signed_subset_identity_check(r, w, 30):
-                return False, cases, f"identity fails for r={r}, w={w.weights}"
-            cases += 1
-    return True, cases, f"{cases} pairs"
+                yield f"identity fails for r={r}, w={w.weights}"
+            yield None
 
 
-def _check_mahonian_triple(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_mahonian_triple(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 6) + 1):
         for shape in all_shapes(n):
             table = mahonian_table(shape)
             for k in range(shape.nu + 1):
                 if mahonian_via_denumerant(shape, k) != table.value(k):
-                    return False, cases, f"denumerant route fails for {shape}, k={k}"
-                cases += 1
-    return True, cases, f"{cases} values"
+                    yield f"denumerant route fails for {shape}, k={k}"
+                yield None
 
 
-def _check_binomial_route(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_binomial_route(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, max_n + 1):
         table = full_mahonian(n)
         for k in range(n * (n - 1) // 2 + 1):
             if full_mahonian_via_binomials(n, k) != table.value(k):
-                return False, cases, f"binomial route fails at n={n}, k={k}"
-            cases += 1
-    return True, cases, f"{cases} values"
+                yield f"binomial route fails at n={n}, k={k}"
+            yield None
 
 
-def _check_quasipolynomial(max_n: int, cap: int) -> tuple[bool, int, str]:
+def _check_quasipolynomial(max_n: int, cap: int) -> Iterator[str | None]:
     vectors = [WeightVector((1, 2)), WeightVector((2, 3)), WeightVector((1, 2, 3))]
-    for cases, w in enumerate(vectors):
+    for w in vectors:
         if not quasipolynomial_check(w, 0, 20):
-            return False, cases, f"finite differences do not vanish for {w.weights}"
-    return True, len(vectors), f"{len(vectors)} weight vectors"
+            yield f"finite differences do not vanish for {w.weights}"
+        yield None
 
 
-def _check_denumerant_bounds(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_denumerant_bounds(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 6) + 1):
         for shape in all_shapes(n):
             w = epsilon_weights(shape)
             for m in range(31):
                 lower, upper = denumerant_bounds(shape, m)
                 if not lower <= denumerant(w, m) <= upper:
-                    return False, cases, f"bounds fail for {shape}, m={m}"
-                cases += 1
-    return True, cases, f"{cases} values"
+                    yield f"bounds fail for {shape}, m={m}"
+                yield None
 
 
 # ---------------------------------------------------------------------------
 # flagcells suite
 
 
-def _check_counting_triangle(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_counting_triangle(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 4) + 1):
         for shape in all_shapes(n):
             for p in (2, 3):
@@ -397,45 +362,40 @@ def _check_counting_triangle(max_n: int, cap: int) -> tuple[bool, int, str]:
                 evaluated = q_multinomial(shape).eval_at(p)
                 cells = cell_sum_poly(shape, cap=cap).eval_at(p)
                 if not brute == quotient == evaluated == cells:
-                    return False, cases, f"counts disagree for {shape}, p={p}"
-                cases += 1
-    return True, cases, f"{cases} shape/field pairs"
+                    yield f"counts disagree for {shape}, p={p}"
+                yield None
 
 
-def _check_theta_transport(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_theta_transport(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 7) + 1):
         for shape in all_shapes(n):
             seen = set()
             for sigma in enumerate_partitions(shape, cap=cap):
                 word = theta_word(sigma)
                 if inversion_count(word) != cell_dimension(sigma):
-                    return False, cases, f"transport fails for {sigma.blocks}"
+                    yield f"transport fails for {sigma.blocks}"
                 seen.add(word.letters)
             if seen != {w.letters for w in enumerate_words(shape, cap=cap)}:
-                return False, cases, f"word map not bijective for {shape}"
-            cases += 1
-    return True, cases, f"{cases} shapes"
+                yield f"word map not bijective for {shape}"
+            yield None
 
 
-def _check_anti_straight(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_anti_straight(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 7) + 1):
         for shape in all_shapes(n):
             straight = cell_sum_poly(shape, cap=cap)
             if straight != cell_sum_poly(shape, anti=True, cap=cap):
-                return False, cases, f"anti and straight sums differ for {shape}"
+                yield f"anti and straight sums differ for {shape}"
             if straight != q_multinomial(shape):
-                return False, cases, f"cell sum differs from q-multinomial for {shape}"
-            cases += 1
-    return True, cases, f"{cases} shapes"
+                yield f"cell sum differs from q-multinomial for {shape}"
+            yield None
 
 
-def _check_cell_decomposition(max_n: int, cap: int) -> tuple[bool, int, str]:
+def _check_cell_decomposition(max_n: int, cap: int) -> Iterator[str | None]:
     if max_n < 3:
-        return True, 0, "skipped below n=3"
+        yield "skipped below n=3"
+        return
     group = list(enumerate_general_linear(3, 2, cap=cap))
-    cases = 0
     for d, anti in itertools.product([(1,), (2,), (1, 2)], (False, True)):
         shape = FlagShape(3, d)
         where = f"d={d}{', anti' if anti else ''}"
@@ -444,42 +404,40 @@ def _check_cell_decomposition(max_n: int, cap: int) -> tuple[bool, int, str]:
         for matrix in group:
             sigma, form, g = cell_form(matrix, shape, anti)
             if not is_parabolic_member(g, shape):
-                return False, cases, f"non-parabolic transition for {where}"
+                yield f"non-parabolic transition for {where}"
             if not form.matches_pattern():
-                return False, cases, f"pattern violated for {where}"
+                yield f"pattern violated for {where}"
             forms[form.matrix.entries] = forms.get(form.matrix.entries, 0) + 1
             cells[sigma.blocks] = cells.get(sigma.blocks, 0) + 1
-            cases += 1
+            yield None
         expected = q_multinomial(shape).eval_at(2)
         if len(forms) != expected:
-            return False, cases, f"wrong number of forms for {where}"
+            yield f"wrong number of forms for {where}"
         coset = len(group) // expected
         if any(size != coset for size in forms.values()):
-            return False, cases, f"uneven coset sizes for {where}"
+            yield f"uneven coset sizes for {where}"
         # each cell holds 2^lam forms, each form a whole coset
         for sigma in enumerate_partitions(shape, cap=cap):
             if cells.get(sigma.blocks, 0) != coset * 2 ** cell_dimension(sigma, anti):
-                detail = f"cell of {sigma.blocks} does not hold 2^lam cosets for {where}"
-                return False, cases, detail
-    return True, cases, f"{len(group)} matrices, 3 cut sequences"
+                yield f"cell of {sigma.blocks} does not hold 2^lam cosets for {where}"
 
 
-def _check_coset_law(max_n: int, cap: int) -> tuple[bool, int, str]:
+def _check_coset_law(max_n: int, cap: int) -> Iterator[str | None]:
     if max_n < 3:
-        return True, 0, "skipped below n=3"
+        yield "skipped below n=3"
+        return
     rng = random.Random(_SAMPLE_SEED)
     shape = FlagShape(3, (1, 2))
     group2 = list(enumerate_general_linear(3, 2, cap=cap))
     flags = [phi_flag(matrix, shape) for matrix in group2]
     inverses = [matrix.inverse() for matrix in group2]
-    pairs = 0
     for a in range(len(group2)):
         for b in rng.sample(range(len(group2)), 24):
             same = flags[a] == flags[b]
             parabolic = is_parabolic_member(inverses[b] @ group2[a], shape)
             if same != parabolic:
-                return False, pairs, "coset law fails over F_2"
-            pairs += 1
+                yield "coset law fails over F_2"
+            yield None
     group3 = list(enumerate_general_linear(3, 3, cap=cap))
     sample = rng.sample(group3, 40)
     flags = [phi_flag(matrix, shape) for matrix in sample]
@@ -487,25 +445,21 @@ def _check_coset_law(max_n: int, cap: int) -> tuple[bool, int, str]:
     for a, flag_a in zip(sample, flags):
         for flag_b, b_inverse in zip(flags, inverses):
             if (flag_a == flag_b) != is_parabolic_member(b_inverse @ a, shape):
-                return False, pairs, "coset law fails over F_3"
-            pairs += 1
-    return True, pairs, f"{pairs} pairs"
+                yield "coset law fails over F_3"
+            yield None
 
 
-def _check_tau(max_n: int, cap: int) -> tuple[bool, int, str]:
-    cases = 0
+def _check_tau(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(2, min(max_n, 8) + 1):
         for d1 in range(1, n):
             for k in range(d1 * (n - d1) + 1):
                 if cell_dimension(tau_for_lambda(n, d1, k)) != k:
-                    return False, cases, f"tau misses target n={n}, d1={d1}, k={k}"
-                cases += 1
-    return True, cases, f"{cases} targets"
+                    yield f"tau misses target n={n}, d1={d1}, k={k}"
+                yield None
 
 
-def _check_s_reduce(max_n: int, cap: int) -> tuple[bool, int, str]:
+def _check_s_reduce(max_n: int, cap: int) -> Iterator[str | None]:
     rng = random.Random(_SAMPLE_SEED)
-    cases = 0
     for p in (2, 3, 5):
         for _ in range(40):
             n = rng.randint(1, 5)
@@ -517,52 +471,53 @@ def _check_s_reduce(max_n: int, cap: int) -> tuple[bool, int, str]:
             for anti in (False, True):
                 s, reduced, g = s_reduce(matrix, anti=anti)
                 if (matrix @ g).entries != reduced.entries:
-                    return False, cases, "reduction is not a column operation"
+                    yield "reduction is not a column operation"
                 s2, reduced2, g2 = s_reduce(reduced, anti=anti)
                 if s2 != s or reduced2.entries != reduced.entries:
-                    return False, cases, "reduction is not idempotent"
+                    yield "reduction is not idempotent"
                 if g2.entries != FpMatrix.identity(p, e).entries:
-                    return False, cases, "reduced form admits a nontrivial reducer"
-                cases += 1
-    return True, cases, f"{cases} matrices"
+                    yield "reduced form admits a nontrivial reducer"
+                yield None
 
 
-# A check maps (max_n, cap) to (no mismatch found, cases compared, detail).
-_CHECKS: dict[str, list[tuple[str, Callable[[int, int], tuple[bool, int, str]]]]] = {
+# Each row is (name, check, template).  The check yields None after each case
+# it compared and the mismatch text at the first mismatch; the template words
+# a pass as template.format(cases, max_n=max_n).
+_CHECKS: dict[str, list[tuple[str, Check, str]]] = {
     "qanalogue": [
-        ("recurrence-vs-quotient", _check_recurrence_vs_quotient),
-        ("palindrome-and-symmetry", _check_palindrome_symmetry),
-        ("partition-coefficients", _check_partition_coefficients),
-        ("bounded-multiset-sums", _check_multiset_sums),
-        ("degree-and-total", _check_degree_and_total),
+        ("recurrence-vs-quotient", _check_recurrence_vs_quotient, "{} pairs"),
+        ("palindrome-and-symmetry", _check_palindrome_symmetry, "{} pairs"),
+        ("partition-coefficients", _check_partition_coefficients, "{} coefficients"),
+        ("bounded-multiset-sums", _check_multiset_sums, "{} pairs"),
+        ("degree-and-total", _check_degree_and_total, "{} shapes"),
     ],
     "inversions": [
-        ("inversion-counters-agree", _check_counters_agree),
-        ("oracle-vs-qmultinomial", _check_oracle_vs_qmultinomial),
-        ("table-row-invariants", _check_table_shape),
-        ("rowsum-recurrence", _check_rowsum_recurrence),
-        ("full-log-concavity", _check_full_log_concavity),
-        ("refinement-recurrence", _check_refinement),
-        ("rational-bounds", _check_inv_bounds),
+        ("inversion-counters-agree", _check_counters_agree, "{} random words"),
+        ("oracle-vs-qmultinomial", _check_oracle_vs_qmultinomial, "{} shapes"),
+        ("table-row-invariants", _check_table_shape, "{} tables"),
+        ("rowsum-recurrence", _check_rowsum_recurrence, "{} values"),
+        ("full-log-concavity", _check_full_log_concavity, "n up to {max_n}"),
+        ("refinement-recurrence", _check_refinement, "{} pairs"),
+        ("rational-bounds", _check_inv_bounds, "{} values"),
     ],
     "denumerant": [
-        ("psi-four-methods", _check_psi_methods),
-        ("psi-symmetry-and-bound", _check_psi_table_invariants),
-        ("unit-weight-denumerant", _check_unit_denumerant),
-        ("signed-subset-identity", _check_signed_subset_identity),
-        ("mahonian-via-denumerant", _check_mahonian_triple),
-        ("binomial-route", _check_binomial_route),
-        ("quasipolynomial-differences", _check_quasipolynomial),
-        ("denumerant-bounds", _check_denumerant_bounds),
+        ("psi-four-methods", _check_psi_methods, "{} coefficients"),
+        ("psi-symmetry-and-bound", _check_psi_table_invariants, "{} coefficients"),
+        ("unit-weight-denumerant", _check_unit_denumerant, "{} values"),
+        ("signed-subset-identity", _check_signed_subset_identity, "{} pairs"),
+        ("mahonian-via-denumerant", _check_mahonian_triple, "{} values"),
+        ("binomial-route", _check_binomial_route, "{} values"),
+        ("quasipolynomial-differences", _check_quasipolynomial, "{} weight vectors"),
+        ("denumerant-bounds", _check_denumerant_bounds, "{} values"),
     ],
     "flagcells": [
-        ("counting-triangle", _check_counting_triangle),
-        ("word-transport", _check_theta_transport),
-        ("anti-vs-straight", _check_anti_straight),
-        ("cell-decomposition", _check_cell_decomposition),
-        ("coset-law", _check_coset_law),
-        ("prescribed-dimension", _check_tau),
-        ("column-reduction", _check_s_reduce),
+        ("counting-triangle", _check_counting_triangle, "{} shape/field pairs"),
+        ("word-transport", _check_theta_transport, "{} shapes"),
+        ("anti-vs-straight", _check_anti_straight, "{} shapes"),
+        ("cell-decomposition", _check_cell_decomposition, "168 matrices, 3 cut sequences"),
+        ("coset-law", _check_coset_law, "{} pairs"),
+        ("prescribed-dimension", _check_tau, "{} targets"),
+        ("column-reduction", _check_s_reduce, "{} matrices"),
     ],
 }
 
@@ -578,24 +533,29 @@ def run_suite(suite: str, max_n: int = 6, cap: int = DEFAULT_CAP) -> list[CheckR
     else:
         raise ValueError(f"unknown suite {suite!r}")
     return [
-        _run_check(name, check_name, check, max_n, cap)
+        _run_check(name, check_name, check, template, max_n, cap)
         for name in names
-        for check_name, check in _CHECKS[name]
+        for check_name, check, template in _CHECKS[name]
     ]
 
 
 def _run_check(
-    suite: str, name: str, check: Callable[[int, int], tuple[bool, int, str]], max_n: int, cap: int
+    suite: str, name: str, check: Check, template: str, max_n: int, cap: int
 ) -> CheckResult:
-    """Run one check, timed; it passes only if it found no mismatch in at
-    least one compared case.  A check over the cap raises ResourceLimitError,
-    its message prefixed with the check's name."""
+    """Run one check, timed, counting the cases it yields before its first
+    mismatch; it passes only if there is no mismatch and at least one case.
+    A check over the cap raises ResourceLimitError prefixed with its name."""
     start = time.perf_counter()
+    cases, mismatch = 0, None
     try:
-        passed, cases, detail = check(max_n, cap)
+        for mismatch in check(max_n, cap):
+            if mismatch is not None:
+                break  # drops, and so closes, the check's generator
+            cases += 1
     except ResourceLimitError as exc:  # over budget, not a failed check
         raise ResourceLimitError(f"{name}: {exc}") from exc
     except Exception as exc:  # a crashed check is a failed check
-        passed, cases, detail = False, 0, f"raised {type(exc).__name__}: {exc}"
+        cases, mismatch = 0, f"raised {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
-    return CheckResult(suite, name, passed and cases > 0, detail, cases, elapsed)
+    detail = template.format(cases, max_n=max_n) if mismatch is None else mismatch
+    return CheckResult(suite, name, mismatch is None and cases > 0, detail, cases, elapsed)

@@ -5,7 +5,7 @@ import pytest
 from qcomb.errors import DEFAULT_CAP
 from qcomb.verification import _CHECKS, _run_check
 
-CHECKS = {name: check for checks in _CHECKS.values() for name, check in checks}
+CHECKS = {name: (check, template) for rows in _CHECKS.values() for name, check, template in rows}
 
 # The max_n each check runs at in the tests (6 when not listed), chosen so
 # that its sweep covers the acceptance criterion or test that relies on it.
@@ -31,7 +31,7 @@ SWEEP_MAX_N = {
 
 @functools.cache
 def _sweep(name):
-    return _run_check("", name, CHECKS[name], SWEEP_MAX_N.get(name, 6), DEFAULT_CAP)
+    return _run_check("", name, *CHECKS[name], SWEEP_MAX_N.get(name, 6), DEFAULT_CAP)
 
 
 @pytest.fixture(scope="session")

@@ -604,6 +604,7 @@ def test_phi_flag_bases_are_nested_of_right_rank(n, p, seed):
     shape = FlagShape(n, d)
     a = _random_invertible(n, p, rng)
     flag = phi_flag(a, shape)
+    _assert_public_twin(flag, Flag(shape, p, flag.bases))
     for dim, basis in zip(shape.d, flag.bases):
         assert basis.rank() == dim
     for first, second in zip(flag.bases, flag.bases[1:]):

@@ -1,6 +1,7 @@
 import pytest
 
 from qcomb import cli
+from qcomb.errors import ResourceLimitError
 from qcomb.verification import _CHECKS, _run_check, run_suite
 
 # `qcomb verify --suite all --max-n 6`, as printed when every check passes
@@ -36,7 +37,7 @@ flagcells   column-reduction             PASS    240 matrices
 """
 
 
-@pytest.mark.parametrize("name", [name for checks in _CHECKS.values() for name, _ in checks])
+@pytest.mark.parametrize("name", [name for checks in _CHECKS.values() for name, _, _ in checks])
 def test_registry_check(name, verify_check):
     verify_check(name)
 
@@ -46,14 +47,55 @@ def test_verify_all_table_is_pinned(capsys):
     assert capsys.readouterr().out == VERIFY_ALL_6
 
 
+# cases compared by each check at max_n 6, including the two rows whose
+# detail does not print a count
+CASES_ALL_6 = {
+    "recurrence-vs-quotient": 28, "palindrome-and-symmetry": 28, "partition-coefficients": 98,
+    "bounded-multiset-sums": 27, "degree-and-total": 63, "inversion-counters-agree": 400,
+    "oracle-vs-qmultinomial": 63, "table-row-invariants": 63, "rowsum-recurrence": 40,
+    "full-log-concavity": 5, "refinement-recurrence": 364, "rational-bounds": 564,
+    "psi-four-methods": 62, "psi-symmetry-and-bound": 62, "unit-weight-denumerant": 186,
+    "signed-subset-identity": 20, "mahonian-via-denumerant": 564, "binomial-route": 41,
+    "quasipolynomial-differences": 3, "denumerant-bounds": 1953, "counting-triangle": 30,
+    "word-transport": 63, "anti-vs-straight": 63, "cell-decomposition": 1008,
+    "coset-law": 4512, "prescribed-dimension": 85, "column-reduction": 240,
+}
+
+
+def test_every_check_case_count_is_pinned():
+    assert {r.name: r.cases for r in run_suite("all", max_n=6)} == CASES_ALL_6
+
+
+def _cases(count, mismatch=None):
+    def check(max_n, cap):
+        yield from [None] * count
+        if mismatch is not None:
+            yield mismatch
+            yield None  # never reached: the runner stops at the first mismatch
+    return check
+
+
+def _raises_after_a_case(exc):
+    def check(max_n, cap):
+        yield None
+        raise exc
+    return check
+
+
 def test_a_check_that_compares_nothing_fails():
-    assert _run_check("s", "c", lambda max_n, cap: (True, 2, "2 pairs"), 6, 1).passed
-    empty = _run_check("s", "c", lambda max_n, cap: (True, 0, "0 pairs"), 6, 1)
+    passed = _run_check("s", "c", _cases(2), "{} pairs", 6, 1)
+    assert (passed.passed, passed.cases, passed.detail) == (True, 2, "2 pairs")
+    empty = _run_check("s", "c", _cases(0), "{} pairs", 6, 1)
     assert (empty.passed, empty.cases, empty.detail) == (False, 0, "0 pairs")
-    assert not _run_check("s", "c", lambda max_n, cap: (False, 3, "mismatch"), 6, 1).passed
-    crashed = _run_check("s", "c", lambda max_n, cap: 1 // 0, 6, 1)
+    failed = _run_check("s", "c", _cases(3, "mismatch at n=4"), "{} pairs", 6, 1)
+    assert (failed.passed, failed.cases, failed.detail) == (False, 3, "mismatch at n=4")
+    crashed = _run_check("s", "c", _raises_after_a_case(ZeroDivisionError("x")), "{} pairs", 6, 1)
     assert (crashed.passed, crashed.cases) == (False, 0)
-    assert crashed.detail.startswith("raised ZeroDivisionError")
+    assert crashed.detail == "raised ZeroDivisionError: x"
+    # over the cap is not a failed check: the error propagates, named
+    over_cap = _raises_after_a_case(ResourceLimitError("needs 10 items, cap is 1"))
+    with pytest.raises(ResourceLimitError, match="^c: needs 10 items, cap is 1$"):
+        _run_check("s", "c", over_cap, "{} pairs", 6, 1)
 
 
 def test_verify_below_every_sweep_fails(capsys):
@@ -66,4 +108,5 @@ def test_verify_below_every_sweep_fails(capsys):
     assert cli.run(["verify", "--suite", "all", "--max-n", "1"]) == 3
     rows = capsys.readouterr().out.splitlines()
     assert "inversions  rowsum-recurrence            FAIL    0 values" in rows
+    assert "flagcells   cell-decomposition           FAIL    skipped below n=3" in rows
     assert "flagcells   coset-law                    FAIL    skipped below n=3" in rows
