@@ -444,9 +444,9 @@ def tau_for_lambda(n: int, d1: int, k: int) -> OrderedSetPartition:
             + [n - j for j in range(e1 - a - 1)]
             + [n - e1 + a + 1 - b]
         )
-    first_sorted = tuple(sorted(first))
-    second = tuple(x for x in range(1, n + 1) if x not in set(first_sorted))
-    return OrderedSetPartition(shape, (first_sorted, second))
+    chosen = set(first)
+    second = tuple(x for x in range(1, n + 1) if x not in chosen)
+    return OrderedSetPartition(shape, (tuple(sorted(first)), second))
 
 
 @frozen
@@ -518,50 +518,46 @@ def reduced_echelon_bases(n: int, e: int, p: int) -> Iterator[FpMatrix]:
             yield FpMatrix._wrap(p, tuple(map(tuple, entries)))
 
 
-def _pivot_rows(big: FpMatrix) -> list[int]:
-    """0-based row of the first nonzero entry of each column."""
-    rows = big.entries
-    return [next(i for i, row in enumerate(rows) if row[j]) for j in range(big.cols)]
+def _widen(span: set[tuple[int, ...]], vec: tuple[int, ...], p: int) -> set[tuple[int, ...]]:
+    """The span of `span` and `vec` over F_p: every old vector plus each multiple of vec.
 
-
-def _contains(big: FpMatrix, pivots: Sequence[int], small: FpMatrix) -> bool:
-    """True iff every column of `small` lies in the column span of `big`.
-
-    `big` must be in reduced column-echelon form, as `reduced_echelon_bases`
-    yields it, with `pivots = _pivot_rows(big)`: column j's first nonzero
-    entry is a 1 on row pivots[j], where every other column is 0.  So a
-    vector lies in the span iff it equals the combination of big's columns
-    weighted by its own pivot-row entries.
+    >>> sorted(_widen({(0, 0)}, (1, 2), 3))
+    [(0, 0), (1, 2), (2, 1)]
+    >>> len(_widen(_widen({(0, 0, 0)}, (1, 0, 1), 2), (0, 1, 1), 2))
+    4
     """
-    p, rows = big.p, big.entries
-    for column in zip(*small.entries):
-        weights = [column[i] for i in pivots]
-        for row, x in zip(rows, column):
-            if (sum(map(mul, weights, row)) - x) % p:
-                return False
-    return True
+    return {tuple((a + c * b) % p for a, b in zip(old, vec)) for old in span for c in range(p)}
 
 
 def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Flag]:
     """Brute-force list of all flags of the shape over F_p, in a fixed order.
 
-    Every basis of each level is tested against every basis of the level
-    before; a chain extends by the bases that contain its last one, so each
-    pair is tested once however many chains end in the smaller basis.  Flags are
-    built unchecked; test_enumerated_objects_match_public_constructors pins them.
+    Each level lists its subspaces as `reduced_echelon_bases` yields them.
+    From the second level on, each basis's span is built once, as the set of
+    its p^dim vectors, and a basis of the level before lies in it exactly
+    when all its columns do.  A chain extends by the bases whose spans hold
+    its last one, in level order, so each pair is tested once however many
+    chains end in the smaller basis.  Flags are built unchecked;
+    test_enumerated_objects_match_public_constructors pins them.
     """
     _require_prime(p)
     check_cap(q_multinomial(shape).eval_at(p), cap, "flag enumeration")
+    zero = (0,) * shape.n
     # each chain with the index of its last basis in that basis's level
     chains: list[tuple[tuple[FpMatrix, ...], int]] = [((), 0)]
     previous: list[FpMatrix] = []
     for dim in shape.d:
         level = list(reduced_echelon_bases(shape.n, dim, p))
         if previous:
-            pivots = [_pivot_rows(big) for big in level]
+            spans = []
+            for big in level:
+                span = {zero}
+                for column in zip(*big.entries):
+                    span = _widen(span, column, p)
+                spans.append(span)
             above = [
-                [k for k, big in enumerate(level) if _contains(big, pivots[k], small)]
-                for small in previous
+                [k for k, span in enumerate(spans) if columns <= span]
+                for columns in (set(zip(*small.entries)) for small in previous)
             ]
         else:
             above = [range(len(level))]
@@ -590,8 +586,9 @@ def flag_count_group_formula(shape: FlagShape, p: int) -> int:
 def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator[FpMatrix]:
     """All invertible n x n matrices over F_p, sorted by their entries.
 
-    Built row by row, each new row taken from outside the span of the
-    rows before it; the last row ends the matrix, so its span is never built.
+    Built row by row: each row is a vector of F_p^n outside the span of the
+    rows above it, taken in lex order, and `_widen` adds it to that span for
+    the rows below.  The last row's span is never built.
     """
     _require_prime(p)
     order = math.prod(p**n - p**i for i in range(n))
@@ -608,12 +605,6 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
             if len(rows) == n - 1:  # the last row's span would never be read
                 yield FpMatrix._wrap(p, (*rows, vec))
                 continue
-            larger = {
-                tuple((a + c * b) % p for a, b in zip(old, vec))
-                for old in span
-                for c in range(p)
-            }
-            yield from extend(rows + [vec], larger)
+            yield from extend(rows + [vec], _widen(span, vec, p))
 
-    zero = tuple([0] * n)
-    yield from extend([], {zero})
+    yield from extend([], {(0,) * n})

@@ -388,6 +388,13 @@ def _single_block_lower_bound(n, k):
             "1",
             id="flags-18-digit-prime",
         ),
+        # k = 3 < e2: the first block is the value n - e1 + 1 - k and the top e1 - 1 values
+        pytest.param(
+            ["tau", "40000", "20000", "3"],
+            0,
+            "tau1       " + " ".join(map(str, [19998, *range(20002, 40001)])),
+            id="tau-two-blocks-of-20000",
+        ),
     ],
 )
 def test_large_arguments_end_quickly(argv, code, first_row):

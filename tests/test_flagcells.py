@@ -34,7 +34,7 @@ from qcomb import (
     tau_for_lambda,
     theta_word,
 )
-from qcomb.flagcells import _contains, _pivot_rows, _require_prime
+from qcomb.flagcells import _require_prime, _widen
 
 RNG_SEED = 52462280
 
@@ -518,12 +518,14 @@ def _reference_flags(shape, p):
 
 
 def test_enumerate_flags_matches_rank_filtered_reference():
-    for n in range(1, 5):
-        for shape in all_shapes(n):
-            for p in (2, 3):
-                flags = enumerate_flags(shape, p)
-                assert [f.bases for f in flags] == _reference_flags(shape, p), (shape, p)
-                assert all(f.shape == shape and f.p == p for f in flags)
+    # every shape up to n = 4 over F_2 and F_3, and the n = 5 shapes with at
+    # most two cuts over F_2
+    cases = [(shape, p) for n in range(1, 5) for shape in all_shapes(n) for p in (2, 3)]
+    cases += [(shape, 2) for shape in all_shapes(5) if len(shape.d) <= 2]
+    for shape, p in cases:
+        flags = enumerate_flags(shape, p)
+        assert [f.bases for f in flags] == _reference_flags(shape, p), (shape, p)
+        assert all(f.shape == shape and f.p == p for f in flags)
 
 
 def test_flag_enumeration_examples():
@@ -558,12 +560,18 @@ def test_gl_enumeration_rejection_matches_order_formula():
 
 
 def test_echelon_containment_matches_rank():
+    # the span set of `big`, built as enumerate_flags builds it, holds every
+    # column of `small` exactly when stacking small onto big adds no rank
     for p in (2, 3):
         for n in range(1, 5):
             bases = [b for e in range(n + 1) for b in reduced_echelon_bases(n, e, p)]
             for big in bases:
+                span = {(0,) * n}
+                for column in zip(*big.entries):
+                    span = _widen(span, column, p)
+                assert len(span) == p**big.cols
                 for small in bases:
-                    contained = _contains(big, _pivot_rows(big), small)
+                    contained = set(zip(*small.entries)) <= span
                     assert contained == (big.hstack(small).rank() == big.cols)
 
 
