@@ -518,8 +518,8 @@ def _reference_flags(shape, p):
 
 
 def test_enumerate_flags_matches_rank_filtered_reference():
-    # every shape up to n = 4 over F_2 and F_3, and the n = 5 shapes with at
-    # most two cuts over F_2
+    # the n = 5 shapes with at most two cuts over F_2 are the ones the
+    # oracles benchmark draws
     cases = [(shape, p) for n in range(1, 5) for shape in all_shapes(n) for p in (2, 3)]
     cases += [(shape, 2) for shape in all_shapes(5) if len(shape.d) <= 2]
     for shape, p in cases:
