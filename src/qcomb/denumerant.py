@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
@@ -135,17 +136,16 @@ def _subset_signed_histogram(n: int) -> tuple[int, ...]:
     return tuple(hist)
 
 
-def _exp_log_coefficients(n: int, top: int) -> tuple[Fraction, ...]:
-    # exp of L(t) = -sum_k alpha(n, k) t^k, via m*e_m = sum_j (j * l_j) e_{m-j}
-    from fractions import Fraction
-    sigma = [0] + [restricted_divisor_sum(n, k) for k in range(1, top + 1)]
-    coeffs: list[Fraction] = [Fraction(1)]
+def _exp_log_coefficients(n: int, top: int) -> list[int]:
+    # exp of L(t) = -sum_k alpha(n, k) t^k, via m*e_m = -sum_j sigma_j e_{m-j} in integers
+    sigma = [restricted_divisor_sum(n, k) for k in range(1, top + 1)]
+    coeffs = [1]
     for m in range(1, top + 1):
-        acc = Fraction(0)
-        for j in range(1, m + 1):
-            acc -= sigma[j] * coeffs[m - j]
-        coeffs.append(acc / m)
-    return tuple(coeffs)
+        value, rest = divmod(-sum(map(mul, sigma[:m], reversed(coeffs))), m)
+        if rest:
+            raise RuntimeError(f"exp-log series produced a non-integer psi_{n}({m})")
+        coeffs.append(value)
+    return coeffs
 
 
 def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP) -> int:
@@ -153,7 +153,7 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
 
     The pentagonal route is only valid for 1 <= r <= n; the subset oracle
     enumerates 2^n signed subsets and is capped; the exp-log route works in
-    exact rationals and insists the answer come out integral.
+    integers and insists that each step of its recurrence divide exactly.
     """
     if n < 1:
         raise ValidationError("psi requires n >= 1")
@@ -176,10 +176,7 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
     if method == "subset-oracle":
         check_cap(1 << n, cap, "signed subset enumeration")
         return _subset_signed_histogram(n)[r]
-    value = _exp_log_coefficients(n, r)[r]
-    if value.denominator != 1:
-        raise RuntimeError(f"exp-log series produced a non-integer psi_{n}({r}) = {value}")
-    return int(value)
+    return _exp_log_coefficients(n, r)[r]
 
 
 def generalized_binomial(a: int, b: int) -> int:
@@ -222,15 +219,27 @@ def mahonian_via_denumerant(shape: FlagShape, k: int) -> int:
     return sum(c * series[k - i] for i, c in enumerate(coeffs))
 
 
-def full_mahonian_via_binomials(n: int, k: int) -> int:
-    """Permutations of [n] with exactly k inversions, as a psi-weighted
-    sum of generalized binomials."""
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
+def _psi_binomial_sums(n: int, k: int, eta: int) -> tuple[int, int]:
+    # sum_{i <= k} psi_n(i) C(n-1+k-i, n-1) over the nonzero psi_n(i), twice: with
+    # the binomials of the negative psi_n(i), then of the positive ones, stretched
+    # to C(n-1+eta+k-i, n-1).  At eta = 0 both count permutations with k inversions.
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
-    coeffs = psi_prefix(n, min(k, n * (n + 1) // 2))
-    return sum(c * generalized_binomial(n - 1 + k - i, n - 1) for i, c in enumerate(coeffs))
+    first = second = 0
+    for i, c in enumerate(psi_prefix(n, min(k, n * (n + 1) // 2))):
+        if c:
+            plain = math.comb(n - 1 + k - i, n - 1)
+            stretched = math.comb(n - 1 + eta + k - i, n - 1) if eta else plain
+            first += c * (plain if c > 0 else stretched)
+            second += c * (stretched if c > 0 else plain)
+    return first, second
+
+
+def full_mahonian_via_binomials(n: int, k: int) -> int:
+    """Permutations of [n] with exactly k inversions, as a psi-weighted sum of binomials."""
+    if n < 1:
+        raise ValidationError("n must be a positive integer")
+    return _psi_binomial_sums(n, k, 0)[0]
 
 
 def quasipolynomial_check(w: WeightVector, m0: int, samples: int) -> bool:

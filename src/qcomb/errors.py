@@ -23,11 +23,11 @@ SUITE_NAMES = ("qanalogue", "inversions", "denumerant", "flagcells")
 
 
 def check_cap(required: int, cap: int, what: str) -> None:
-    """Raise ResourceLimitError if an enumeration of `required` items exceeds `cap`."""
+    """Raise ResourceLimitError if an enumeration of `required` items exceeds `cap`.
+    An amount past 64 bits is named by its size, "at least 2^N", to keep the message short."""
     if required > cap:
-        raise ResourceLimitError(
-            f"{what} requires enumerating {required} items, above the cap of {cap}"
-        )
+        amount = required if required.bit_length() <= 64 else f"at least 2^{required.bit_length() - 1}"
+        raise ResourceLimitError(f"{what} requires enumerating {amount} items, above the cap of {cap}")
 
 
 def frozen(cls):

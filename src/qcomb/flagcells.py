@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from operator import lt, mul
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
+from .errors import DEFAULT_CAP, ResourceLimitError, ValidationError, check_cap, frozen
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial
@@ -399,14 +399,12 @@ def cell_form(
     with g starting as the identity and taking every column operation.  Each
     pivot row a block claims is cleared from the later blocks' columns as the
     pivot is found, so each block is reduced with the earlier blocks' rows
-    already zero.  Returns (sigma, form, g) with form.matrix = A @ g and g
-    block-upper-triangular.
+    already zero, and a singular A leaves some block short of pivots.
+    Returns (sigma, form, g) with form.matrix = A @ g and g block-upper-triangular.
     """
     n = shape.n
     if A.rows != n or A.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
-    if A.rank() != n:
-        raise ValidationError("matrix is singular")
     p, cuts = A.p, shape.cuts
     cols = [list(column) for column in zip(*A.entries)]
     gcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
@@ -541,6 +539,10 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
     test_enumerated_objects_match_public_constructors pins them.
     """
     _require_prime(p)
+    if shape.nu >= cap.bit_length():  # a monic q-multinomial of degree nu: p^nu >= 2^nu > cap
+        raise ResourceLimitError(
+            f"flag enumeration requires enumerating at least 2^{shape.nu} items, above the cap of {cap}"
+        )
     check_cap(q_multinomial(shape).eval_at(p), cap, "flag enumeration")
     zero = (0,) * shape.n
     # each chain with the index of its last basis in that basis's level

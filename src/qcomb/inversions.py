@@ -13,7 +13,7 @@ import math
 from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .denumerant import generalized_binomial, psi_prefix
+from .denumerant import _psi_binomial_sums
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
@@ -193,23 +193,13 @@ def inv_bounds(shape: FlagShape, k: int) -> tuple[Fraction, Fraction]:
     """Exact rational lower/upper estimates for the inversion count I(shape; k).
 
     Splitting the psi coefficients by sign and stretching one side's
-    binomials by eta gives a lower estimate; exchanging the two index sets
-    gives the upper one.  With all blocks singletons (eta = 0) the two
-    coincide with the exact count.
+    binomials by eta gives a lower estimate; exchanging the two sides gives
+    the upper one.  With all blocks singletons (eta = 0) the two coincide
+    with the exact count, the sum `full_mahonian_via_binomials` reads.
     """
     from fractions import Fraction
-    if k < 0:
-        raise ValidationError("inversion count must be nonnegative")
-    n = shape.n
-    psi = psi_prefix(n, k)
-    eta = shape.eta
+    lower, upper = _psi_binomial_sums(shape.n, k, shape.eta)
     divisor = math.prod(math.factorial(e) for e in shape.block_sizes)
-    plain = [generalized_binomial(n - 1 + k - i, n - 1) for i in range(k + 1)]
-    shifted = [generalized_binomial(n - 1 + eta + k - i, n - 1) for i in range(k + 1)]
-    positive = [i for i in range(k + 1) if psi[i] > 0]
-    negative = [i for i in range(k + 1) if psi[i] < 0]
-    lower = sum(psi[i] * plain[i] for i in positive) + sum(psi[i] * shifted[i] for i in negative)
-    upper = sum(psi[i] * plain[i] for i in negative) + sum(psi[i] * shifted[i] for i in positive)
     return Fraction(lower, divisor), Fraction(upper, divisor)
 
 

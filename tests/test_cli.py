@@ -9,7 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from qcomb import cli
+from qcomb import cli, psi
 from qcomb.errors import ValidationError
 from qcomb.verification import CheckResult
 
@@ -310,11 +310,13 @@ for batch in {batches!r}:
 def test_cli_imports_only_what_the_subcommand_runs():
     golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
     examples = [case["argv"] for case in golden]
-    rational = [a for a in examples if a[0] == "bounds" or "exp-log" in a]
-    assert len(rational) == 2
+    exp_log = [a for a in examples if "exp-log" in a]
+    bounds = [a for a in examples if a[0] == "bounds"]
+    assert len(exp_log) == len(bounds) == 1
     batches = [
-        [a for a in examples if a not in rational],
-        rational,
+        [a for a in examples if a not in exp_log + bounds],
+        exp_log,  # an integer route: no fractions
+        bounds,
         [["qbinom", "4", "2", "--format", "json"]],
         [["verify", "--suite", "qanalogue", "--max-n", "2"]],
     ]
@@ -330,6 +332,7 @@ def test_cli_imports_only_what_the_subcommand_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "[]",
+        "[]",
         "['fractions']",
         "['fractions', 'json']",
         "['fractions', 'json', 'qcomb.verification']",
@@ -344,13 +347,21 @@ def _gaussian_binomial_at(n, e, q):
 
 
 def _single_block_lower_bound(n, k):
-    # psi_n(0..5) = 1, -1, -1, 0, 0, 1 by Euler's pentagonal theorem (n >= 5);
-    # positive coefficients take the plain binomials, negative ones the
-    # binomials stretched by eta = n(n-1)/2, all over n!
-    psi = (1, -1, -1, 0, 0, 1)
+    # For i <= n, psi_n(i) is Euler's pentagonal coefficient: (-1)^s at
+    # i = s(3s - 1)/2 and at i = s(3s + 1)/2, else 0.  Positive coefficients
+    # take the plain binomials, negative ones the binomials stretched by
+    # eta = n(n-1)/2, all over n!
+    assert k <= n
+    pentagonal = [0] * (k + 1)
+    for s in range(k + 1):
+        for i in (s * (3 * s - 1) // 2, s * (3 * s + 1) // 2):
+            if i <= k:
+                pentagonal[i] = (-1) ** s
     eta = n * (n - 1) // 2
     total = sum(
-        c * math.comb(n - 1 + (eta if c < 0 else 0) + k - i, n - 1) for i, c in enumerate(psi[: k + 1])
+        c * math.comb(n - 1 + (eta if c < 0 else 0) + k - i, n - 1)
+        for i, c in enumerate(pentagonal)
+        if c
     )
     return Fraction(total, math.factorial(n))
 
@@ -395,6 +406,23 @@ def _single_block_lower_bound(n, k):
             "tau1       " + " ".join(map(str, [19998, *range(20002, 40001)])),
             id="tau-two-blocks-of-20000",
         ),
+        pytest.param(
+            ["psi", "200", "2000", "--method", "exp-log"],
+            0,
+            str(psi(200, 2000, "fn-coefficients")),
+            id="psi-exp-log-r-2000",
+        ),
+        pytest.param(
+            ["bounds", "3000", "--k", "3000"],
+            0,
+            f"lower  {_single_block_lower_bound(3000, 3000)}",
+            id="bounds-k-3000",
+        ),
+        # nu = 40000 and 10^6: at least 2^nu flags, refused before any expansion
+        pytest.param(["flags", "400", "--d", "200", "--p", "2", "--count-only"], 2, None,
+                     id="flags-nu-40000"),
+        pytest.param(["flags", "2000", "--d", "1000", "--p", "2", "--count-only"], 2, None,
+                     id="flags-nu-1000000"),
     ],
 )
 def test_large_arguments_end_quickly(argv, code, first_row):
@@ -403,4 +431,7 @@ def test_large_arguments_end_quickly(argv, code, first_row):
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.splitlines()[1] == first_row
+    if code == 2:  # over the cap: nothing on stdout, one line on stderr
+        assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
+    else:
+        assert proc.stdout.splitlines()[1] == first_row

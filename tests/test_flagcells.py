@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from qcomb import (
     inversion_count,
     is_parabolic_member,
     phi_flag,
+    psi,
     q_binomial,
     q_factorial,
     q_multinomial,
@@ -536,8 +538,28 @@ def test_flag_enumeration_examples():
 
 
 def test_flag_enumeration_cap():
-    with pytest.raises(ResourceLimitError):
+    # nu = 6 is below the cap's 7 bits, so the exact count [4]_3! = 2080 is named
+    with pytest.raises(ResourceLimitError, match=" 2080 items, above the cap of 100$"):
         enumerate_flags(FlagShape.full(4), 3, cap=100)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit")
+def test_huge_over_cap_amounts_raise_one_line():
+    # An in-process cli.run lifts the int-to-str digit limit for the session.
+    # Put the default back, under which a decimal amount past 4300 digits
+    # raises ValueError, and give it back afterwards.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ResourceLimitError, match=r"^signed subset enumeration requires "
+                           r"enumerating at least 2\^20000 items, above the cap of 1000000$"):
+            psi(20000, 3, "subset-oracle")
+        # nu = 40000: refused by its size, before the q-multinomial is expanded
+        with pytest.raises(ResourceLimitError, match=r"^flag enumeration requires "
+                           r"enumerating at least 2\^40000 items, above the cap of 1000000$"):
+            enumerate_flags(FlagShape(400, (200,)), 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_group_formula_examples():
