@@ -46,7 +46,7 @@ from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationErro
 from .flagcells import _require_prime, cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
 from .polycore import IntPoly
-from .qanalogue import FlagShape, q_binomial, q_multinomial
+from .qanalogue import FlagShape, q_binomial, q_binomial_at, q_multinomial
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -146,13 +146,12 @@ def _sigma_text(blocks: tuple[tuple[int, ...], ...]) -> str:
 
 
 def _cmd_qbinom(args) -> tuple[OutputRecord, int]:
-    poly = q_binomial(args.n, args.e)
     params: dict[str, str | list[str]] = {"n": str(args.n), "e": str(args.e)}
     if args.eval_at is not None:
         params["eval"] = str(args.eval_at)
-        value = poly.eval_at(args.eval_at)
+        value = q_binomial_at(args.n, args.e, args.eval_at)
         return OutputRecord("qbinom", params, ("value",), ((str(value),),)), EXIT_OK
-    return _distribution_record("qbinom", params, poly), EXIT_OK
+    return _distribution_record("qbinom", params, q_binomial(args.n, args.e)), EXIT_OK
 
 
 def _cmd_qmultinom(args) -> tuple[OutputRecord, int]:

@@ -9,7 +9,8 @@ psi_n with the denumerant of the per-block weight vector.
 psi_n(r) is computable four ways (signed subset sums, direct expansion of
 f_n, Euler's pentagonal shortcut for r <= n, and exponentiating the
 logarithmic series built from restricted divisor sums); all four are exposed
-and cross-validated.
+and cross-validated.  The direct expansion reads the upper half of f_n off
+the lower one, since psi_n(n(n+1)/2 - r) = (-1)^n psi_n(r).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
-from .polycore import IntPoly, factor_product, series_reciprocal_product
+from .polycore import IntPoly, _mirrored_prefix, factor_product, series_reciprocal_product
 from .qanalogue import FlagShape
 
 if TYPE_CHECKING:
@@ -81,9 +82,12 @@ def psi_prefix(n: int, order: int) -> list[int]:
     """psi_n(0), ..., psi_n(order): the coefficients of f_n(t) through t^order.
 
     Factors (1 - t^i) with i > order cannot reach t^order, so only the first
-    min(n, order) are expanded.
+    min(n, order) are expanded.  f_n has degree top = n(n+1)/2 and
+    psi_n(top - r) = (-1)^n psi_n(r), so past t^(top // 2) the coefficients
+    are mirrored, not expanded.
     """
-    return factor_product(range(1, min(n, order) + 1), (), order)
+    top = n * (n + 1) // 2
+    return _mirrored_prefix(range(1, min(n, order) + 1), (), top, order, -1 if n % 2 else 1)
 
 
 def denumerant(w: WeightVector, m: int) -> int:

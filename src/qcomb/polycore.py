@@ -5,7 +5,9 @@ constant term first; ``IntPoly((1, 0, 2))`` is ``1 + 2x^2``.  A truncated
 series carries exactly ``order + 1`` coefficients and its arithmetic never
 consults anything beyond the truncation order.  `factor_product` expands
 truncated products of factors (1 - t^k)^{+-1}, the kernel behind every
-closed form in the package.
+closed form in the package.  Many of those products are palindromic (or
+antipalindromic) polynomials: `_mirrored_prefix` expands such a product
+only through half its degree and reads the upper half off the lower one.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely between threads.
@@ -208,6 +210,28 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
         for r in range(min(b, order + 1)):
             out[r::b] = itertools.accumulate(out[r::b])
     return out
+
+
+def _mirrored_prefix(
+    num: Iterable[int], den: Iterable[int], degree: int, order: int, sign: int = 1
+) -> list[int]:
+    """`factor_product(num, den, order)` for a polynomial product of the given
+    degree whose coefficients satisfy c[degree - i] = sign * c[i].
+
+    Only c[0..degree // 2] is expanded; the rest is that half mirrored (negated
+    when sign = -1), then zeros past the degree.
+
+    >>> _mirrored_prefix((3, 4), (1, 2), 4, 6)
+    [1, 1, 2, 1, 1, 0, 0]
+    >>> _mirrored_prefix((1, 2, 3), (), 6, 7, sign=-1)
+    [1, -1, -1, 0, 1, 1, -1, 0]
+    """
+    half = degree // 2
+    if order <= half:
+        return factor_product(num, den, order)
+    low = factor_product(num, den, half)
+    out = low + [sign * c for c in reversed(low[: degree - half])]
+    return out[: order + 1] + [0] * (order - degree)
 
 
 def series_reciprocal_product(weights: Sequence[int], order: int) -> TruncatedSeries:

@@ -6,11 +6,17 @@ factors (1 - x^k)^{+-1}, expanded by the kernel `factor_product`:
     qbinom(n, e) = prod_{i=n-e+1}^{n} (1 - x^i) / prod_{j=1}^{e} (1 - x^j)
 
 The division is exact, so every coefficient is a nonnegative integer.  The
+largest block's factorial is cancelled before expanding: qbinom uses
+e <= n - e, and the q-multinomial [n]! / prod_i [e_i]! starts its numerator
+at e_max + 1 and divides by the other blocks only.  Both are palindromes of
+degree e(n - e) and nu, so only the lower half of a row is expanded and the
+upper half is read off it (`polycore._mirrored_prefix`).  `q_binomial_at`
+evaluates qbinom at an integer by the product, without the row.  The
 q-factorial is kept on plain `IntPoly` products as the oracle the kernel is
 checked against, and `verify` compares both with the Pascal-type recurrence
-qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e).  Partition counting
-and bounded-multiset enumeration provide independent oracles for the same
-coefficients.
+qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), and Horner on the
+row with `q_binomial_at`.  Partition counting and bounded-multiset
+enumeration provide independent oracles for the same coefficients.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
-from .polycore import IntPoly, factor_product
+from .polycore import IntPoly, _mirrored_prefix
 
 
 @frozen
@@ -103,14 +109,44 @@ def q_factorial(n: int) -> IntPoly:
     return result
 
 
-def q_binomial(n: int, e: int) -> IntPoly:
-    """Gaussian binomial coefficient, degree e(n-e), positive coefficients."""
+def _binomial_lower(n: int, e: int) -> int:
+    # validates a q-binomial's arguments and returns min(e, n - e)
     if n < 0 or e < 0:
         raise ValidationError("q_binomial requires nonnegative arguments")
     if e > n:
         raise ValidationError(f"q_binomial needs e <= n, got e={e}, n={n}")
-    e = min(e, n - e)
-    return IntPoly(factor_product(range(n - e + 1, n + 1), range(1, e + 1), e * (n - e)))
+    return min(e, n - e)
+
+
+def q_binomial(n: int, e: int) -> IntPoly:
+    """Gaussian binomial coefficient, degree e(n-e), positive coefficients."""
+    e = _binomial_lower(n, e)
+    degree = e * (n - e)
+    return IntPoly(_mirrored_prefix(range(n - e + 1, n + 1), range(1, e + 1), degree, degree))
+
+
+def q_binomial_at(n: int, e: int, q: int) -> int:
+    """The Gaussian binomial coefficient evaluated at the integer q, without its row.
+
+    For |q| >= 2 by the product prod_{i=1}^{e} (q^{n-e+i} - 1) / (q^i - 1),
+    whose division must be exact; at q = 1 it is C(n, e), at q = 0 it is 1,
+    and at q = -1 it is 0 when n is even and e odd, else C(n // 2, e // 2).
+
+    >>> q_binomial_at(4, 2, 2), q_binomial_at(4, 2, -1), q_binomial_at(5, 2, -1)
+    (35, 2, 2)
+    """
+    e = _binomial_lower(n, e)
+    if q == 1:
+        return math.comb(n, e)
+    if q == 0:
+        return 1
+    if q == -1:
+        return 0 if n % 2 == 0 and e % 2 else math.comb(n // 2, e // 2)
+    top = math.prod(q ** (n - e + i) - 1 for i in range(1, e + 1))
+    value, rest = divmod(top, math.prod(q**i - 1 for i in range(1, e + 1)))
+    if rest:
+        raise RuntimeError(f"q-binomial product left a remainder at n={n}, e={e}, q={q}")
+    return value
 
 
 def q_multinomial(shape: FlagShape) -> IntPoly:
@@ -119,9 +155,18 @@ def q_multinomial(shape: FlagShape) -> IntPoly:
 
 
 def q_multinomial_prefix(shape: FlagShape, order: int) -> list[int]:
-    """Coefficients of the q-multinomial of `shape` through t^order."""
-    den = [j for e in shape.block_sizes for j in range(1, e + 1)]
-    return factor_product(range(1, shape.n + 1), den, order)
+    """Coefficients of the q-multinomial of `shape` through t^order.
+
+    The largest block's [e_max]! cancels the first e_max factors of [n]!, so
+    the numerator runs over e_max + 1..n and the denominator over the other
+    blocks only.  The row is a palindrome of degree nu: past t^(nu // 2) it
+    is mirrored, not expanded.
+    """
+    sizes = list(shape.block_sizes)
+    largest = max(sizes)
+    sizes.remove(largest)
+    den = [j for e in sizes for j in range(1, e + 1)]
+    return _mirrored_prefix(range(largest + 1, shape.n + 1), den, shape.nu, order)
 
 
 @lru_cache(maxsize=None)

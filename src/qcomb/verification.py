@@ -62,13 +62,14 @@ from .inversions import (
     mahonian_table,
     refinement_recurrence,
 )
-from .polycore import IntPoly
+from .polycore import IntPoly, factor_product
 from .qanalogue import (
     FlagShape,
     all_shapes,
     multiset_sum_poly,
     partition_count,
     q_binomial,
+    q_binomial_at,
     q_factorial,
     q_multinomial,
 )
@@ -104,26 +105,33 @@ def _refinement_pairs(n: int) -> Iterator[tuple[FlagShape, FlagShape]]:
 def _check_recurrence_vs_quotient(max_n: int, cap: int) -> Iterator[str | None]:
     # three routes: the Pascal recurrence
     # qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), one row at a time;
-    # the factor kernel behind q_binomial; and the q-factorial quotient
+    # the factor kernel behind q_binomial; and the q-factorial quotient.  The
+    # product q_binomial_at is checked against Horner on the row.
     row = [IntPoly.one()]
     for n in range(0, max_n + 1):
         if n:
             inner = [row[e - 1] + IntPoly.monomial(1, e) * row[e] for e in range(1, n)]
             row = [IntPoly.one(), *inner, IntPoly.one()]
         for e in range(0, n + 1):
+            poly = q_binomial(n, e)
             quotient = q_factorial(n).exact_quotient(q_factorial(e) * q_factorial(n - e))
-            if not row[e] == q_binomial(n, e) == quotient:
+            if not row[e] == poly == quotient:
                 yield f"mismatch at n={n}, e={e}"
+            if any(q_binomial_at(n, e, q) != poly.eval_at(q) for q in (-2, -1, 0, 1, 2, 3)):
+                yield f"product value differs from Horner at n={n}, e={e}"
             yield None
 
 
 def _check_palindrome_symmetry(max_n: int, cap: int) -> Iterator[str | None]:
+    # full-degree expansions: q_binomial mirrors its lower half, so reading it
+    # would compare the mirror with itself
     for n in range(0, max_n + 1):
         for e in range(0, n + 1):
-            poly = q_binomial(n, e)
-            if poly.reverse(e * (n - e)) != poly:
+            degree = e * (n - e)
+            row = factor_product(range(n - e + 1, n + 1), range(1, e + 1), degree)
+            if row != row[::-1]:
                 yield f"not palindromic at n={n}, e={e}"
-            if poly != q_binomial(n, n - e):
+            if row != factor_product(range(e + 1, n + 1), range(1, n - e + 1), degree):
                 yield f"not symmetric at n={n}, e={e}"
             yield None
 
@@ -183,7 +191,9 @@ def _check_table_shape(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, max_n + 1):
         for shape in all_shapes(n):
             table = mahonian_table(shape)  # construction enforces the row invariants
-            if table.counts != table.counts[::-1] or min(table.counts) < 1:
+            # the palindrome the table's mirror relies on, on the full-degree expansion
+            full = factor_product(range(1, n + 1), epsilon_weights(shape).weights, shape.nu)
+            if full != full[::-1] or tuple(full) != table.counts or min(table.counts) < 1:
                 yield f"row invariants fail for {shape}"
             ks = range(-1, shape.nu + 2)
             if any(mahonian_coefficient(shape, k) != table.value(k) for k in ks):
@@ -278,8 +288,10 @@ def _check_psi_table_invariants(max_n: int, cap: int) -> Iterator[str | None]:
         table = PsiTable.for_n(n)
         top = n * (n + 1) // 2
         sign = -1 if n % 2 else 1
+        # symmetry on the full-degree expansion, which PsiTable's mirror relies on
+        full = factor_product(range(1, n + 1), (), top)
         for r in range(top + 1):
-            if table.value(r) != sign * table.value(top - r):
+            if full[r] != sign * full[top - r]:
                 yield f"symmetry fails at n={n}, r={r}"
             if abs(table.value(r)) > generalized_binomial(n - 1 + r, n - 1):
                 yield f"binomial bound fails at n={n}, r={r}"

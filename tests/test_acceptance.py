@@ -19,6 +19,7 @@ from qcomb import (
     cell_form,
     enumerate_flags,
     enumerate_general_linear,
+    factor_product,
     full_mahonian,
     full_mahonian_via_binomials,
     inv_bounds,
@@ -168,9 +169,10 @@ def test_c11_structural_suites(verify_check):
         "rowsum-recurrence",  # permutation tables, n <= 10
         "full-log-concavity",
     )
-    for n in range(2, 11):
-        counts = full_mahonian(n).counts
-        assert counts == counts[::-1]
+    for n in range(2, 11):  # the palindrome on the unmirrored full-degree expansion
+        full = factor_product(range(1, n + 1), (1,) * n, n * (n - 1) // 2)
+        assert full == full[::-1]
+        assert full_mahonian(n).counts == tuple(full)
 
 
 def test_mean_runtime_note():

@@ -340,10 +340,15 @@ def test_cli_imports_only_what_the_subcommand_runs():
 
 
 def _gaussian_binomial_at(n, e, q):
-    # prod_{i<e} (q^(n-i) - 1) / (q^(i+1) - 1), an exact integer
-    num = math.prod(q ** (n - i) - 1 for i in range(e))
-    den = math.prod(q ** (i + 1) - 1 for i in range(e))
-    return num // den
+    # the q-factorial quotient [n]! / ([e]! [n-e]!), with [m]! taken as
+    # prod_{i<=m} (q^i - 1): the (q - 1)^n cancels.  qbinom --eval uses the
+    # cancelled product instead
+    def factorial(m):
+        return math.prod(q**i - 1 for i in range(1, m + 1))
+
+    value, rest = divmod(factorial(n), factorial(e) * factorial(n - e))
+    assert rest == 0
+    return value
 
 
 def _single_block_lower_bound(n, k):
@@ -377,6 +382,13 @@ def _single_block_lower_bound(n, k):
             0,
             str(_gaussian_binomial_at(200, 100, 10)),
             id="qbinom-value-over-4300-digits",
+        ),
+        # by the product; Horner on the expanded row took 23 s on a 2-vCPU host
+        pytest.param(
+            ["qbinom", "800", "400", "--eval", "2"],
+            0,
+            str(_gaussian_binomial_at(800, 400, 2)),
+            id="qbinom-800-400-eval-2",
         ),
         pytest.param(
             ["bounds", "2000", "--k", "5"],

@@ -1,7 +1,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qcomb import IntPoly, TruncatedSeries, ValidationError, factor_product, series_reciprocal_product
+from qcomb import (
+    IntPoly,
+    TruncatedSeries,
+    ValidationError,
+    all_shapes,
+    factor_product,
+    q_multinomial_prefix,
+    series_reciprocal_product,
+)
+from qcomb.polycore import _mirrored_prefix
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 polys = coeff_lists.map(IntPoly)
@@ -124,6 +133,35 @@ def test_factor_product_edge_cases():
     for num, den, order in [((0,), (), 3), ((2, -1), (), 3), ((), (1, 0), 3), ((1,), (1,), -1)]:
         with pytest.raises(ValidationError):
             factor_product(num, den, order)
+
+
+def _assert_mirror_matches(num, den, degree, sign=1):
+    # every order against the full-degree expansion, cut or padded with zeros
+    full = factor_product(num, den, degree + 2)
+    for order in range(degree + 3):
+        assert _mirrored_prefix(num, den, degree, order, sign) == full[: order + 1]
+
+
+def test_mirrored_prefix_matches_full_expansion():
+    # q-binomials: odd and even degrees, degree 0 at e in {0, n}
+    for n in range(31):
+        for e in range(n + 1):
+            degree = e * (n - e)
+            num, den = range(n - e + 1, n + 1), range(1, e + 1)
+            full = factor_product(num, den, degree + 2)
+            for order in (degree // 2, degree // 2 + 1, degree, degree + 2):
+                assert _mirrored_prefix(num, den, degree, order) == full[: order + 1]
+    # q-multinomials of every shape, also through the largest-block cancellation
+    for n in range(1, 9):
+        for shape in all_shapes(n):
+            den = [j for e in shape.block_sizes for j in range(1, e + 1)]
+            _assert_mirror_matches(range(1, n + 1), den, shape.nu)
+            full = factor_product(range(1, n + 1), den, shape.nu + 2)
+            for order in range(shape.nu + 3):
+                assert q_multinomial_prefix(shape, order) == full[: order + 1]
+    # psi_n: degree n(n+1)/2 (1 at n = 1), sign (-1)^n
+    for n in range(1, 41):
+        _assert_mirror_matches(range(1, n + 1), (), n * (n + 1) // 2, -1 if n % 2 else 1)
 
 
 def test_series_coefficient_bounds():

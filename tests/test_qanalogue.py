@@ -15,6 +15,7 @@ from qcomb import (
     q_int,
     q_multinomial,
 )
+from qcomb.qanalogue import q_binomial_at
 
 
 def test_q_int_examples():
@@ -28,6 +29,17 @@ def test_q_factorial_examples():
     assert q_factorial(3).coeffs == (1, 2, 2, 1)
     for n in range(9):
         assert q_factorial(n).eval_at(1) == math.factorial(n)
+
+
+def test_q_binomial_at_matches_horner():
+    for n in range(21):
+        for e in range(n + 1):
+            poly = q_binomial(n, e)
+            for q in range(-4, 5):
+                assert q_binomial_at(n, e, q) == poly.eval_at(q)
+    for n, e in [(-1, 0), (3, -1), (3, 4)]:
+        with pytest.raises(ValidationError):
+            q_binomial_at(n, e, 2)
 
 
 def test_q_binomial_examples():
