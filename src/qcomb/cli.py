@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .denumerant import (
     PSI_METHODS,
@@ -45,7 +45,6 @@ from .denumerant import (
 from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, frozen
 from .flagcells import _require_prime, cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
-from .polycore import IntPoly
 from .qanalogue import FlagShape, q_binomial, q_binomial_at, q_multinomial
 
 EXIT_OK = 0
@@ -58,12 +57,26 @@ FORMATS = ("table", "csv", "json")
 
 @frozen
 class OutputRecord:
-    """One command's result: a titled table with all integers as strings."""
+    """One command's result: a titled table with all integers as strings.
+
+    The constructor writes every parameter value and every cell as a decimal
+    string (a tuple parameter as a list of strings), so handlers pass plain
+    ints, Fractions and tuples and any JSON parser keeps the values exact.
+    """
 
     kind: str
     parameters: dict[str, str | list[str]]
     columns: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
+
+    def __init__(self, kind: str, parameters: dict, columns: Sequence[str], rows: Iterable[Sequence]):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "parameters", {
+            key: [str(x) for x in value] if isinstance(value, tuple) else str(value)
+            for key, value in parameters.items()
+        })
+        object.__setattr__(self, "columns", tuple(columns))
+        object.__setattr__(self, "rows", tuple(tuple(str(cell) for cell in row) for row in rows))
 
     def to_json_obj(self) -> dict:
         return {
@@ -125,15 +138,13 @@ def _parse_shape(n: int, d_text: str) -> FlagShape:
     return FlagShape(n, d)
 
 
-def _distribution_record(kind: str, params: dict, poly: IntPoly) -> OutputRecord:
-    rows = tuple((str(k), str(c)) for k, c in enumerate(poly.coeffs))
-    return OutputRecord(kind, params, ("k", "count"), rows)
+def _shape_params(args, shape: FlagShape, *names: str) -> dict:
+    """The parameters n and d of a parsed shape, then the named arguments."""
+    return {"n": args.n, "d": shape.d, **{name: getattr(args, name) for name in names}}
 
 
 def _flag_text(flag) -> str:
-    levels = []
-    for basis in flag.bases:
-        levels.append("/".join(" ".join(str(x) for x in row) for row in basis.entries))
+    levels = ["/".join(" ".join(map(str, row)) for row in basis.entries) for basis in flag.bases]
     return " | ".join(levels) if levels else "(trivial)"
 
 
@@ -146,26 +157,25 @@ def _sigma_text(blocks: tuple[tuple[int, ...], ...]) -> str:
 
 
 def _cmd_qbinom(args) -> tuple[OutputRecord, int]:
-    params: dict[str, str | list[str]] = {"n": str(args.n), "e": str(args.e)}
+    params = {"n": args.n, "e": args.e}
     if args.eval_at is not None:
-        params["eval"] = str(args.eval_at)
+        params["eval"] = args.eval_at
         value = q_binomial_at(args.n, args.e, args.eval_at)
-        return OutputRecord("qbinom", params, ("value",), ((str(value),),)), EXIT_OK
-    return _distribution_record("qbinom", params, q_binomial(args.n, args.e)), EXIT_OK
+        return OutputRecord("qbinom", params, ("value",), [[value]]), EXIT_OK
+    rows = enumerate(q_binomial(args.n, args.e).coeffs)
+    return OutputRecord("qbinom", params, ("k", "count"), rows), EXIT_OK
 
 
 def _cmd_qmultinom(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
-    params = {"n": str(args.n), "d": [str(x) for x in shape.d]}
-    return _distribution_record("qmultinom", params, q_multinomial(shape)), EXIT_OK
+    rows = enumerate(q_multinomial(shape).coeffs)
+    return OutputRecord("qmultinom", _shape_params(args, shape), ("k", "count"), rows), EXIT_OK
 
 
 def _cmd_invdist(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
-    params = {"n": str(args.n), "d": [str(x) for x in shape.d]}
-    table = mahonian_table(shape)
-    rows = tuple((str(k), str(c)) for k, c in enumerate(table.counts))
-    return OutputRecord("invdist", params, ("k", "count"), rows), EXIT_OK
+    rows = enumerate(mahonian_table(shape).counts)
+    return OutputRecord("invdist", _shape_params(args, shape), ("k", "count"), rows), EXIT_OK
 
 
 def _cmd_inv(args) -> tuple[OutputRecord, int]:
@@ -183,69 +193,53 @@ def _cmd_inv(args) -> tuple[OutputRecord, int]:
                 "use --d 1,2,...,n-1"
             )
         value = full_mahonian_via_binomials(args.n, args.k)
-    params = {
-        "n": str(args.n),
-        "d": [str(x) for x in shape.d],
-        "k": str(args.k),
-        "method": args.method,
-    }
-    return OutputRecord("inv", params, ("value",), ((str(value),),)), EXIT_OK
+    params = _shape_params(args, shape, "k", "method")
+    return OutputRecord("inv", params, ("value",), [[value]]), EXIT_OK
 
 
 def _cmd_psi(args) -> tuple[OutputRecord, int]:
     value = psi(args.n, args.r, method=args.method, cap=args.cap)
-    params = {"n": str(args.n), "r": str(args.r), "method": args.method}
-    return OutputRecord("psi", params, ("value",), ((str(value),),)), EXIT_OK
+    params = {"n": args.n, "r": args.r, "method": args.method}
+    return OutputRecord("psi", params, ("value",), [[value]]), EXIT_OK
 
 
 def _cmd_denumerant(args) -> tuple[OutputRecord, int]:
     weights = WeightVector(_parse_int_list(args.w, "--w"))
-    value = denumerant(weights, args.m)
-    params = {"w": [str(x) for x in weights.weights], "m": str(args.m)}
-    return OutputRecord("denumerant", params, ("value",), ((str(value),),)), EXIT_OK
+    params = {"w": weights.weights, "m": args.m}
+    return OutputRecord("denumerant", params, ("value",), [[denumerant(weights, args.m)]]), EXIT_OK
 
 
 def _cmd_bounds(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
     lower, upper = inv_bounds(shape, args.k)
-    params = {"n": str(args.n), "d": [str(x) for x in shape.d], "k": str(args.k)}
-    rows = (("lower", str(lower)), ("upper", str(upper)))
-    return OutputRecord("bounds", params, ("bound", "value"), rows), EXIT_OK
+    rows = (("lower", lower), ("upper", upper))
+    return OutputRecord("bounds", _shape_params(args, shape, "k"), ("bound", "value"), rows), EXIT_OK
 
 
 def _cmd_flags(args) -> tuple[OutputRecord, int]:
     shape = _parse_shape(args.n, args.d)
     _require_prime(args.p)  # --cells never builds a matrix, so check p here for both modes
-    params = {"n": str(args.n), "d": [str(x) for x in shape.d], "p": str(args.p)}
+    params = _shape_params(args, shape, "p")
     if args.cells:
         rows = []
-        total = 0
         for sigma in enumerate_partitions(shape, cap=args.cap):
             lam = cell_dimension(sigma)
-            rows.append((_sigma_text(sigma.blocks), str(lam), str(args.p**lam)))
-            total += args.p**lam
-        rows.append(("total", "", str(total)))
-        return (
-            OutputRecord("flags-cells", params, ("sigma", "dimension", "flags"), tuple(rows)),
-            EXIT_OK,
-        )
+            rows.append((_sigma_text(sigma.blocks), lam, args.p**lam))
+        rows.append(("total", "", sum(row[2] for row in rows)))
+        return OutputRecord("flags-cells", params, ("sigma", "dimension", "flags"), rows), EXIT_OK
     flags = enumerate_flags(shape, args.p, cap=args.cap)
     if args.count_only:
-        return (
-            OutputRecord("flags-count", params, ("count",), ((str(len(flags)),),)),
-            EXIT_OK,
-        )
-    rows = tuple((_flag_text(flag),) for flag in flags)
-    return OutputRecord("flags", params, ("flag",), rows), EXIT_OK
+        return OutputRecord("flags-count", params, ("count",), [[len(flags)]]), EXIT_OK
+    return OutputRecord("flags", params, ("flag",), [[_flag_text(flag)] for flag in flags]), EXIT_OK
 
 
 def _cmd_tau(args) -> tuple[OutputRecord, int]:
     partition = tau_for_lambda(args.n, args.d1, args.k)
-    params = {"n": str(args.n), "d1": str(args.d1), "k": str(args.k)}
+    params = {"n": args.n, "d1": args.d1, "k": args.k}
     rows = (
-        ("tau1", " ".join(str(x) for x in partition.blocks[0])),
-        ("tau2", " ".join(str(x) for x in partition.blocks[1])),
-        ("dimension", str(cell_dimension(partition))),
+        ("tau1", " ".join(map(str, partition.blocks[0]))),
+        ("tau2", " ".join(map(str, partition.blocks[1]))),
+        ("dimension", cell_dimension(partition)),
     )
     return OutputRecord("tau", params, ("name", "value"), rows), EXIT_OK
 
@@ -253,14 +247,10 @@ def _cmd_tau(args) -> tuple[OutputRecord, int]:
 def _cmd_verify(args) -> tuple[OutputRecord, int]:
     from .verification import run_suite  # verify alone loads the registry
     results = run_suite(args.suite, max_n=args.max_n, cap=args.cap)
-    rows = tuple(
-        (res.suite, res.name, "PASS" if res.passed else "FAIL", res.detail)
-        for res in results
-    )
-    params = {"suite": args.suite, "max_n": str(args.max_n)}
+    rows = [(res.suite, res.name, "PASS" if res.passed else "FAIL", res.detail) for res in results]
+    params = {"suite": args.suite, "max_n": args.max_n}
     record = OutputRecord("verify", params, ("suite", "check", "status", "detail"), rows)
-    status = EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
-    return record, status
+    return record, EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
 # ---------------------------------------------------------------------------
@@ -269,78 +259,45 @@ def _cmd_verify(args) -> tuple[OutputRecord, int]:
 def _build_parser(default_cap: int) -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table", help="output format")
-    common.add_argument(
-        "--cap",
-        type=int,
-        default=default_cap,
-        help=f"enumeration cap (default {default_cap}; env QCOMB_CAP overrides)",
-    )
+    common.add_argument("--cap", type=int, default=default_cap,
+                        help=f"enumeration cap (default {default_cap}; env QCOMB_CAP overrides)")
     common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
     parser = _Parser(prog="qcomb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser("qbinom", parents=[common], help="Gaussian binomial coefficients")
-    p.add_argument("n", type=int)
-    p.add_argument("e", type=int)
+    def command(name, summary, handler, *int_positionals, cuts=False):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        for positional in int_positionals:
+            p.add_argument(positional, type=int)
+        if cuts:
+            p.add_argument("--d", default="", metavar="D1,D2,...", help="strictly increasing cuts")
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("qbinom", "Gaussian binomial coefficients", _cmd_qbinom, "n", "e")
     p.add_argument("--eval", dest="eval_at", type=int, default=None, metavar="Q",
                    help="evaluate at an integer instead of listing coefficients")
-    p.set_defaults(handler=_cmd_qbinom)
-
-    p = sub.add_parser("qmultinom", parents=[common], help="q-multinomial coefficients")
-    p.add_argument("n", type=int)
-    p.add_argument("--d", default="", metavar="D1,D2,...", help="strictly increasing cuts")
-    p.set_defaults(handler=_cmd_qmultinom)
-
-    p = sub.add_parser("invdist", parents=[common], help="inversion distribution table")
-    p.add_argument("n", type=int)
-    p.add_argument("--d", default="", metavar="D1,D2,...")
-    p.set_defaults(handler=_cmd_invdist)
-
-    p = sub.add_parser("inv", parents=[common], help="single inversion count")
-    p.add_argument("n", type=int)
-    p.add_argument("--d", default="", metavar="D1,D2,...")
+    command("qmultinom", "q-multinomial coefficients", _cmd_qmultinom, "n", cuts=True)
+    command("invdist", "inversion distribution table", _cmd_invdist, "n", cuts=True)
+    p = command("inv", "single inversion count", _cmd_inv, "n", cuts=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("table", "denumerant", "binomial"), default="table")
-    p.set_defaults(handler=_cmd_inv)
-
-    p = sub.add_parser("psi", parents=[common], help="coefficients of (1-t)...(1-t^n)")
-    p.add_argument("n", type=int)
-    p.add_argument("r", type=int)
+    p = command("psi", "coefficients of (1-t)...(1-t^n)", _cmd_psi, "n", "r")
     p.add_argument("--method", choices=PSI_METHODS, default="fn-coefficients")
-    p.set_defaults(handler=_cmd_psi)
-
-    p = sub.add_parser("denumerant", parents=[common], help="representation counts")
-    p.add_argument("m", type=int)
+    p = command("denumerant", "representation counts", _cmd_denumerant, "m")
     p.add_argument("--w", required=True, metavar="W1,W2,...", help="positive weights")
-    p.set_defaults(handler=_cmd_denumerant)
-
-    p = sub.add_parser("bounds", parents=[common], help="rational inversion-count bounds")
-    p.add_argument("n", type=int)
-    p.add_argument("--d", default="", metavar="D1,D2,...")
+    p = command("bounds", "rational inversion-count bounds", _cmd_bounds, "n", cuts=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_bounds)
-
-    p = sub.add_parser("flags", parents=[common], help="flag enumeration over F_p")
-    p.add_argument("n", type=int)
-    p.add_argument("--d", default="", metavar="D1,D2,...")
+    p = command("flags", "flag enumeration over F_p", _cmd_flags, "n", cuts=True)
     p.add_argument("--p", type=int, required=True, help="prime field size")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--count-only", action="store_true")
     mode.add_argument("--cells", action="store_true")
-    p.set_defaults(handler=_cmd_flags)
-
-    p = sub.add_parser("tau", parents=[common], help="partition with prescribed cell dimension")
-    p.add_argument("n", type=int)
-    p.add_argument("d1", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(handler=_cmd_tau)
-
-    p = sub.add_parser("verify", parents=[common], help="run cross-oracle self-checks")
+    command("tau", "partition with prescribed cell dimension", _cmd_tau, "n", "d1", "k")
+    p = command("verify", "run cross-oracle self-checks", _cmd_verify)
     p.add_argument("--suite", choices=SUITE_NAMES + ("all",), default="all")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.set_defaults(handler=_cmd_verify)
-
     return parser
 
 

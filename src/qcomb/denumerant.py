@@ -175,8 +175,9 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
         return 0
     if r < 0 or r > top:
         return 0
-    if method == "fn-coefficients":
-        return psi_prefix(n, r)[r]
+    if method == "fn-coefficients":  # psi_n(top - r) = (-1)^n psi_n(r): read the shorter side
+        value = psi_prefix(n, min(r, top - r))[-1]
+        return -value if n % 2 and 2 * r > top else value
     if method == "subset-oracle":
         check_cap(1 << n, cap, "signed subset enumeration")
         return _subset_signed_histogram(n)[r]

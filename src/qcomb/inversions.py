@@ -166,10 +166,8 @@ def refinement_recurrence(shape: FlagShape, refined: FlagShape) -> MahonianTable
 
     Splitting each block of `shape` along the refined cuts factorizes the
     refined distribution as (distribution of shape) * (product of the
-    within-block distributions).  Deconvolving by that product, whose
-    constant term is 1, recovers the coarse table:
-
-        I(shape; k) = I(refined; k) - sum_{m>=1} c_m * I(shape; k - m)
+    within-block distributions).  Dividing the refined row by that product,
+    which must leave no remainder, recovers the coarse table.
     """
     if not is_refinement(shape, refined):
         raise ValidationError("second shape does not refine the first")
@@ -180,13 +178,7 @@ def refinement_recurrence(shape: FlagShape, refined: FlagShape) -> MahonianTable
         lo, hi = cuts[i], cuts[i + 1]
         inner = tuple(x - lo for x in refined.d if lo < x < hi)
         convolver = convolver * q_multinomial(FlagShape(hi - lo, inner))
-    recovered: list[int] = []
-    for k in range(shape.nu + 1):
-        value = base.value(k)
-        for m in range(1, k + 1):
-            value -= convolver.coefficient(m) * recovered[k - m]
-        recovered.append(value)
-    return MahonianTable(shape, recovered)
+    return MahonianTable(shape, IntPoly(base.counts).exact_quotient(convolver).coeffs)
 
 
 def inv_bounds(shape: FlagShape, k: int) -> tuple[Fraction, Fraction]:

@@ -128,9 +128,10 @@ def q_binomial(n: int, e: int) -> IntPoly:
 def q_binomial_at(n: int, e: int, q: int) -> int:
     """The Gaussian binomial coefficient evaluated at the integer q, without its row.
 
-    For |q| >= 2 by the product prod_{i=1}^{e} (q^{n-e+i} - 1) / (q^i - 1),
-    whose division must be exact; at q = 1 it is C(n, e), at q = 0 it is 1,
-    and at q = -1 it is 0 when n is even and e odd, else C(n // 2, e // 2).
+    For q = 0 and |q| >= 2 by the product prod_{i=1}^{e} (q^{n-e+i} - 1) / (q^i - 1),
+    whose division must be exact (at q = 0 every factor is -1, so it gives 1); at
+    q = 1 it is C(n, e), and at q = -1 it is 0 when n is even and e odd, else
+    C(n // 2, e // 2).
 
     >>> q_binomial_at(4, 2, 2), q_binomial_at(4, 2, -1), q_binomial_at(5, 2, -1)
     (35, 2, 2)
@@ -138,8 +139,6 @@ def q_binomial_at(n: int, e: int, q: int) -> int:
     e = _binomial_lower(n, e)
     if q == 1:
         return math.comb(n, e)
-    if q == 0:
-        return 1
     if q == -1:
         return 0 if n % 2 == 0 and e % 2 else math.comb(n // 2, e // 2)
     top = math.prod(q ** (n - e + i) - 1 for i in range(1, e + 1))

@@ -28,6 +28,10 @@ def load_schema():
     return json.loads(text)
 
 
+def load_golden():
+    return json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+
+
 def test_reference_value_examples(capsys):
     code, out, _ = run_cli(["inv", "10", "--d", "1,2,3,4,5,6,7,8,9", "--k", "12"], capsys)
     assert code == 0 and out.splitlines()[1] == "47043"
@@ -96,14 +100,19 @@ def test_json_schema_and_big_integer_round_trip(capsys):
     assert value == q_binomial(40, 20).eval_at(10)  # hundreds of digits, exact
 
 
+def test_output_record_writes_every_value_as_a_string():
+    record = cli.OutputRecord("bounds", {"n": 5, "d": (1, 2), "k": -6}, ("bound", "value"),
+                              [("lower", Fraction(-203, 2)), ("upper", 10**30)])
+    assert record.parameters == {"n": "5", "d": ["1", "2"], "k": "-6"}
+    assert record.rows == (("lower", "-203/2"), ("upper", str(10**30)))
+
+
 def test_json_all_strings(capsys):
     schema = load_schema()
-    for argv in [
+    for argv in [case["argv"] for case in load_golden()] + [
         ["invdist", "5", "--d", "2"],
-        ["bounds", "5", "--d", "1,2", "--k", "6"],
-        ["tau", "4", "2", "3"],
         ["flags", "3", "--d", "1", "--p", "3", "--cells"],
-        ["denumerant", "4", "--w", "1,2"],
+        ["flags", "2", "--d", "1", "--p", "3"],
         ["verify", "--suite", "qanalogue", "--max-n", "4"],
     ]:
         code, out, _ = run_cli(argv + ["--format", "json"], capsys)
@@ -221,7 +230,7 @@ def test_run_suite_all_passes_and_rejects_unknown():
 
 
 def test_readme_examples_match_golden_output(capsys):
-    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
+    golden = load_golden()
     assert len(golden) == 13
     for case in golden:
         code, out, _ = run_cli(case["argv"], capsys)
@@ -308,8 +317,7 @@ for batch in {batches!r}:
 
 
 def test_cli_imports_only_what_the_subcommand_runs():
-    golden = json.loads((Path(__file__).parents[1] / "perfbench" / "golden.json").read_text())
-    examples = [case["argv"] for case in golden]
+    examples = [case["argv"] for case in load_golden()]
     exp_log = [a for a in examples if "exp-log" in a]
     bounds = [a for a in examples if a[0] == "bounds"]
     assert len(exp_log) == len(bounds) == 1
@@ -377,6 +385,13 @@ def _single_block_lower_bound(n, k):
         (["qbinom", "1500", "1"], 0, "0     1"),
         (["inv", "300", "--k", "5", "--method", "denumerant"], 0, "0"),
         (["psi", "5000", "3"], 0, "0"),
+        # psi_n(top - r) = (-1)^n psi_n(r) with top = 2001000: read at r = 5
+        pytest.param(
+            ["psi", "2000", "2000995"],
+            0,
+            str(psi(2000, 5, "pentagonal")),
+            id="psi-r-near-the-top",
+        ),
         pytest.param(
             ["qbinom", "200", "100", "--eval", "10"],
             0,
@@ -411,6 +426,8 @@ def _single_block_lower_bound(n, k):
             "1",
             id="flags-18-digit-prime",
         ),
+        # one block is one flag; its group orders would have about 9 * 10^6 bits
+        pytest.param(["flags", "3000", "--p", "2", "--count-only"], 0, "1", id="flags-one-block"),
         # k = 3 < e2: the first block is the value n - e1 + 1 - k and the top e1 - 1 values
         pytest.param(
             ["tau", "40000", "20000", "3"],

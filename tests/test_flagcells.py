@@ -554,7 +554,7 @@ def test_huge_over_cap_amounts_raise_one_line():
         with pytest.raises(ResourceLimitError, match=r"^signed subset enumeration requires "
                            r"enumerating at least 2\^20000 items, above the cap of 1000000$"):
             psi(20000, 3, "subset-oracle")
-        # nu = 40000: refused by its size, before the q-multinomial is expanded
+        # nu = 40000: refused by its size, before any group order is computed
         with pytest.raises(ResourceLimitError, match=r"^flag enumeration requires "
                            r"enumerating at least 2\^40000 items, above the cap of 1000000$"):
             enumerate_flags(FlagShape(400, (200,)), 2)

@@ -57,6 +57,7 @@ def test_generated_init_takes_positional_and_keyword_fields():
     result = CheckResult("qanalogue", "x", True, "1 pair", 1, 0.5)
     assert result == CheckResult(suite="qanalogue", name="x", passed=True, detail="1 pair",
                                  cases=1, elapsed_s=0.5)
+    assert result == CheckResult("qanalogue", "x", True, elapsed_s=0.5, cases=1, detail="1 pair")
     assert (result.suite, result.cases, result.elapsed_s) == ("qanalogue", 1, 0.5)
     with pytest.raises(AttributeError):
         result.passed = False

@@ -98,6 +98,13 @@ def test_a_check_that_compares_nothing_fails():
         _run_check("s", "c", over_cap, "{} pairs", 6, 1)
 
 
+def test_psi_subset_route_over_the_cap_raises():
+    # 2^10 > 1000: the subset oracle is refused at n = 10, not skipped, so verify exits 2
+    check, template = next((c, t) for name, c, t in _CHECKS["denumerant"] if name == "psi-four-methods")
+    with pytest.raises(ResourceLimitError, match="^psi-four-methods: signed subset enumeration "):
+        _run_check("denumerant", "psi-four-methods", check, template, 12, 1000)
+
+
 def test_verify_below_every_sweep_fails(capsys):
     # at max_n 1 these checks have nothing to compare
     empty = {"rowsum-recurrence", "full-log-concavity", "cell-decomposition", "coset-law",
