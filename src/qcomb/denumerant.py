@@ -123,20 +123,25 @@ def alpha(n: int, k: int) -> Fraction:
 @lru_cache(maxsize=None)
 def _subset_signed_histogram(n: int) -> tuple[int, ...]:
     # hist[r] = sum over subsets T of [n] with element sum r of (-1)^|T|.
-    # A Gray-code walk visits all 2^n subsets: step s toggles element
-    # i = (s & -s).bit_length(), so the sum and the sign change in O(1);
-    # step[i] is +i while i is out of the subset and -i while it is in.
+    # A Gray-code walk visits the 2^(n-1) subsets T of {2..n}: step s toggles
+    # element i = (s & -s).bit_length() + 1, so the sum and the sign change in
+    # O(1); step[i] is +i while i is out of T and -i while it is in.  Each step
+    # also counts T + {1}, whose sum is one more and whose sign is the opposite.
+    if n == 0:
+        return (1,)
     hist = [0] * (n * (n + 1) // 2 + 1)
     hist[0] = 1
+    hist[1] = -1
     step = list(range(n + 1))
     total = 0
     sign = 1
-    for s in range(1, 1 << n):
-        i = (s & -s).bit_length()
+    for s in range(1, 1 << (n - 1)):
+        i = (s & -s).bit_length() + 1
         total += step[i]
         step[i] = -step[i]
         sign = -sign
         hist[total] += sign
+        hist[total + 1] -= sign
     return tuple(hist)
 
 

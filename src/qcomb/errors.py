@@ -34,7 +34,9 @@ def frozen(cls):
     """Make `cls` an immutable value class over its annotated fields: equal when
     the fields are, hashed as their tuple, shown as `Name(field=value, ...)`.
     Assigning or deleting raises AttributeError, so constructors set fields with
-    `object.__setattr__`; a class without an `__init__` gets one taking the fields.
+    `object.__setattr__` (the loops that build words and partitions in bulk store
+    them straight into the instance `__dict__`); a class without an `__init__`
+    gets one taking the fields.
     """
     names = tuple(cls.__annotations__)
     get = attrgetter(*names)

@@ -275,25 +275,24 @@ class OrderedSetPartition:
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", data)
 
-    @classmethod
-    def _wrap(cls, shape: FlagShape, blocks: tuple[tuple[int, ...], ...]) -> OrderedSetPartition:
-        """A partition from tuples known to be valid blocks, unchecked, for enumerators."""
-        sigma = object.__new__(cls)
-        object.__setattr__(sigma, "shape", shape)
-        object.__setattr__(sigma, "blocks", blocks)
-        return sigma
-
 
 def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[OrderedSetPartition]:
     """Every ordered set partition with the shape's block sizes, lex order.
 
     Each block but the last is a choice of positions among the elements not
     yet placed; the choices and the positions each leaves over depend only on
-    the block's level, so they are listed once per level.  The last block
-    takes what is left.  The partitions are valid by construction and built
-    unchecked; test_enumerated_objects_match_public_constructors pins them.
+    the block's level, so they are listed once per level.  Each level hands
+    the blocks chosen so far down to the next, and the innermost level builds
+    the last two blocks and the partition itself.  The partitions of two or
+    more blocks are valid by construction and built unchecked, by storing the
+    two fields straight into each new instance's __dict__;
+    test_enumerated_objects_match_public_constructors pins them.
     """
     check_cap(shape.multinomial(), cap, "ordered set partition enumeration")
+    everything = tuple(range(1, shape.n + 1))
+    if not shape.d:
+        yield OrderedSetPartition(shape, (everything,))
+        return
     splits = []
     left = shape.n
     for size in shape.block_sizes[:-1]:
@@ -303,19 +302,23 @@ def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[O
             for chosen in itertools.combinations(positions, size)
         ])
         left -= size
+    innermost = len(splits) - 1
+    new, cls = object.__new__, OrderedSetPartition
 
-    def rec(remaining: tuple[int, ...], level: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if level == len(splits):
-            yield (remaining,)
-            return
+    def rec(head: tuple, remaining: tuple[int, ...], level: int) -> Iterator[OrderedSetPartition]:
         pick = remaining.__getitem__
+        if level < innermost:
+            for chosen, rest in splits[level]:
+                yield from rec(head + (tuple(map(pick, chosen)),), tuple(map(pick, rest)), level + 1)
+            return
         for chosen, rest in splits[level]:
-            first = tuple(map(pick, chosen))
-            for tail in rec(tuple(map(pick, rest)), level + 1):
-                yield (first,) + tail
+            sigma = new(cls)
+            fields = sigma.__dict__
+            fields["shape"] = shape
+            fields["blocks"] = head + (tuple(map(pick, chosen)), tuple(map(pick, rest)))
+            yield sigma
 
-    for blocks in rec(tuple(range(1, shape.n + 1)), 0):
-        yield OrderedSetPartition._wrap(shape, blocks)
+    yield from rec((), everything, 0)
 
 
 def cell_dimension(sigma: OrderedSetPartition, anti: bool = False) -> int:
@@ -345,15 +348,19 @@ def theta_word(sigma: OrderedSetPartition) -> MultisetWord:
     The map is a bijection onto the words of the shape's block content, and
     the word's inversion count equals the cell dimension lam(sigma): both
     count element pairs u < v with v in a strictly later block than u.  Built
-    unchecked; test_enumerated_objects_match_public_constructors and word-transport pin it.
+    unchecked, like `enumerate_words`' words; test_enumerated_objects_match_public_constructors
+    and word-transport pin it.
     """
-    n = sigma.shape.n
-    member = [0] * (n + 1)
+    shape = sigma.shape
+    member = [0] * (shape.n + 1)
     for ell, block in enumerate(sigma.blocks, start=1):
         for v in block:
             member[v] = ell
-    letters = tuple(member[n - i + 1] for i in range(1, n + 1))
-    return MultisetWord._wrap(letters, sigma.shape)
+    word = object.__new__(MultisetWord)
+    fields = word.__dict__
+    fields["letters"] = tuple(member[:0:-1])
+    fields["shape"] = shape
+    return word
 
 
 @frozen
@@ -543,8 +550,7 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
         raise ResourceLimitError(
             f"flag enumeration requires enumerating at least 2^{shape.nu} items, above the cap of {cap}"
         )
-    if shape.d:  # one block is one flag, while its group orders grow as p^(n^2) for any n
-        check_cap(flag_count_group_formula(shape, p), cap, "flag enumeration")
+    check_cap(flag_count_group_formula(shape, p), cap, "flag enumeration")
     zero = (0,) * shape.n
     # each chain with the index of its last basis in that basis's level
     chains: list[tuple[tuple[FpMatrix, ...], int]] = [((), 0)]
@@ -573,17 +579,21 @@ def flag_count_group_formula(shape: FlagShape, p: int) -> int:
     """Flag count as a quotient of group orders.
 
     |GL(n, F_p)| divided by the order of the block-upper-triangular
-    subgroup; an exact integer.
+    subgroup; an exact integer.  Both orders are p^(n(n-1)/2) times a product
+    of factors p^j - 1: j = 1..n for GL(n, F_p), and j = 1..e for each block
+    of size e in the subgroup, whose unipotent part and diagonal blocks give
+    p^(nu + sum e(e-1)/2) = p^(n(n-1)/2).  The power of p and the largest
+    block's factors cancel before anything is multiplied, which leaves the
+    factors j = e_max+1..n over those of the other blocks; the quotient is
+    the same, and the products stay the size of the answer.
     """
     _require_prime(p)
-    n = shape.n
-    gl_order = math.prod(p**n - p**i for i in range(n))
-    parabolic = math.prod(
-        math.prod(p**e - p**j for j in range(e)) for e in shape.block_sizes
-    ) * p**shape.nu
-    if gl_order % parabolic:
+    *others, largest = sorted(shape.block_sizes)
+    top = math.prod(p**j - 1 for j in range(largest + 1, shape.n + 1))
+    bottom = math.prod(p**j - 1 for e in others for j in range(1, e + 1))
+    if top % bottom:
         raise RuntimeError("group order is not divisible by parabolic order")
-    return gl_order // parabolic
+    return top // bottom
 
 
 def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator[FpMatrix]:

@@ -36,14 +36,6 @@ class MultisetWord:
         object.__setattr__(self, "letters", data)
         object.__setattr__(self, "shape", shape)
 
-    @classmethod
-    def _wrap(cls, letters: tuple[int, ...], shape: FlagShape) -> MultisetWord:
-        """A word from a tuple with the shape's letter content, unchecked, for enumerators."""
-        word = object.__new__(cls)
-        object.__setattr__(word, "letters", letters)
-        object.__setattr__(word, "shape", shape)
-        return word
-
 
 @frozen
 class MahonianTable:
@@ -82,22 +74,29 @@ def enumerate_words(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[Multis
     Knuth's Algorithm L (TAOCP Vol. 4A, 7.2.1.2) steps from each word to the
     next: find the rightmost ascent a[j] < a[j+1], swap a[j] with the
     smallest larger letter to its right, and reverse the tail after j.  Words
-    are built unchecked; test_enumerated_objects_match_public_constructors pins them.
+    are built unchecked, by storing the two fields straight into each new
+    instance's __dict__; test_enumerated_objects_match_public_constructors pins them.
     """
     check_cap(shape.multinomial(), cap, "multiset word enumeration")
     a = list(shape.sorted_letters)
+    last = len(a) - 1
+    new, cls = object.__new__, MultisetWord
     while True:
-        yield MultisetWord._wrap(tuple(a), shape)
-        j = len(a) - 2
+        word = new(cls)
+        fields = word.__dict__
+        fields["letters"] = tuple(a)
+        fields["shape"] = shape
+        yield word
+        j = last - 1
         while j >= 0 and a[j] >= a[j + 1]:
             j -= 1
         if j < 0:
             return
-        m = len(a) - 1
+        m = last
         while a[m] <= a[j]:
             m -= 1
         a[j], a[m] = a[m], a[j]
-        a[j + 1 :] = reversed(a[j + 1 :])
+        a[j + 1 :] = a[:j:-1]
 
 
 def inversion_count(word: MultisetWord | Sequence[int]) -> int:

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,9 +277,9 @@ def test_partition_validation():
 def test_enumerate_partitions_counts():
     for n in range(1, 7):
         for shape in all_shapes(n):
-            sigmas = list(enumerate_partitions(shape))
-            assert len(sigmas) == shape.multinomial()
-            assert len({s.blocks for s in sigmas}) == len(sigmas)
+            blocks = [sigma.blocks for sigma in enumerate_partitions(shape)]
+            assert len(blocks) == shape.multinomial()
+            assert blocks == sorted(set(blocks))  # lex order, no repeats
     with pytest.raises(ResourceLimitError):
         list(enumerate_partitions(FlagShape.full(10), cap=100))
 
@@ -567,6 +568,19 @@ def test_group_formula_examples():
     assert flag_count_group_formula(FlagShape(2, (1,)), 3) == 4
     assert flag_count_group_formula(FlagShape(4, ()), 7) == 1
     assert flag_count_group_formula(FlagShape(3, (1, 2)), 2) == q_factorial(3).eval_at(2)
+
+
+@pytest.mark.parametrize("shape, count", [
+    pytest.param(FlagShape(1000, (1,)), 2**1000 - 1, id="n1000-d1"),
+    pytest.param(FlagShape(3000, ()), 1, id="n3000-one-block"),
+    pytest.param(FlagShape(2000, (2,)), (2**1999 - 1) * (2**2000 - 1) // 3, id="n2000-d2"),
+])
+def test_group_formula_cancels_before_multiplying(shape, count):
+    # |GL(3000, F_2)| alone has about 9 * 10^6 bits; cancelled, nothing exceeds the answer.
+    # Cancelling the smaller block of (2, 1998) instead gives the same count in seconds.
+    start = time.perf_counter()
+    assert flag_count_group_formula(shape, 2) == count
+    assert time.perf_counter() - start < 1
 
 
 def test_gl_enumeration_rejection_matches_order_formula():
