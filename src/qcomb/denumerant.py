@@ -21,7 +21,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
-from .polycore import IntPoly, _mirrored_prefix, factor_product, series_reciprocal_product
+from .polycore import IntPoly, _mirrored_prefix, factor_product
 from .qanalogue import FlagShape
 
 if TYPE_CHECKING:
@@ -114,12 +114,6 @@ def restricted_divisor_sum(n: int, k: int) -> int:
     return sum(d for d in range(1, min(n, k) + 1) if k % d == 0)
 
 
-def alpha(n: int, k: int) -> Fraction:
-    """The logarithmic-series coefficient: restricted_divisor_sum(n, k) / k."""
-    from fractions import Fraction
-    return Fraction(restricted_divisor_sum(n, k), k)
-
-
 @lru_cache(maxsize=None)
 def _subset_signed_histogram(n: int) -> tuple[int, ...]:
     # hist[r] = sum over subsets T of [n] with element sum r of (-1)^|T|.
@@ -146,7 +140,7 @@ def _subset_signed_histogram(n: int) -> tuple[int, ...]:
 
 
 def _exp_log_coefficients(n: int, top: int) -> list[int]:
-    # exp of L(t) = -sum_k alpha(n, k) t^k, via m*e_m = -sum_j sigma_j e_{m-j} in integers
+    # exp of L(t) = -sum_k (sigma_k / k) t^k, via m*e_m = -sum_j sigma_j e_{m-j} in integers
     sigma = [restricted_divisor_sum(n, k) for k in range(1, top + 1)]
     coeffs = [1]
     for m in range(1, top + 1):
@@ -198,17 +192,19 @@ def generalized_binomial(a: int, b: int) -> int:
 
 def signed_subset_identity_check(r: int, w: WeightVector, order: int) -> bool:
     """Check that multiplying the weight-reciprocal series by (1-t)...(1-t^r)
-    matches the signed subset-shift sum of denumerants, through t^order."""
+    matches the signed subset-shift sum of denumerants, through t^order.
+
+    The product is a plain `IntPoly` convolution, not one more `factor_product`
+    call, so the two sides share only the series."""
     if r < 0:
         raise ValidationError("r must be nonnegative")
     if order < 0:
         raise ValidationError("truncation order must be nonnegative")
-    series = series_reciprocal_product(w.weights, order)
-    numerator = IntPoly(factor_product(range(1, r + 1), (), r * (r + 1) // 2))
-    lhs = series.mul_poly(numerator)
+    series = factor_product((), w.weights, order)
+    lhs = IntPoly(series) * IntPoly(factor_product(range(1, r + 1), (), r * (r + 1) // 2))
 
     def d(m: int) -> int:
-        return series.coefficient(m) if m >= 0 else 0
+        return series[m] if m >= 0 else 0
 
     hist = _subset_signed_histogram(r)
     return all(
@@ -262,10 +258,10 @@ def quasipolynomial_check(w: WeightVector, m0: int, samples: int) -> bool:
     n = len(w)
     lam = math.lcm(*w.weights)
     top = m0 + samples - 1 + n * lam
-    series = series_reciprocal_product(w.weights, top)
+    series = factor_product((), w.weights, top)
     signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
     return all(
-        sum(signs[j] * series.coefficient(start + j * lam) for j in range(n + 1)) == 0
+        sum(signs[j] * series[start + j * lam] for j in range(n + 1)) == 0
         for start in range(m0, m0 + samples)
     )
 

@@ -27,7 +27,7 @@ from typing import Iterator, Sequence
 from .errors import DEFAULT_CAP, ResourceLimitError, ValidationError, check_cap, frozen
 from .inversions import MultisetWord
 from .polycore import IntPoly
-from .qanalogue import FlagShape
+from .qanalogue import FlagShape, q_multinomial_at
 
 
 _SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
@@ -582,18 +582,11 @@ def flag_count_group_formula(shape: FlagShape, p: int) -> int:
     subgroup; an exact integer.  Both orders are p^(n(n-1)/2) times a product
     of factors p^j - 1: j = 1..n for GL(n, F_p), and j = 1..e for each block
     of size e in the subgroup, whose unipotent part and diagonal blocks give
-    p^(nu + sum e(e-1)/2) = p^(n(n-1)/2).  The power of p and the largest
-    block's factors cancel before anything is multiplied, which leaves the
-    factors j = e_max+1..n over those of the other blocks; the quotient is
-    the same, and the products stay the size of the answer.
+    p^(nu + sum e(e-1)/2) = p^(n(n-1)/2).  The power of p cancels, which
+    leaves the q-multinomial at q = p, computed by `q_multinomial_at`.
     """
     _require_prime(p)
-    *others, largest = sorted(shape.block_sizes)
-    top = math.prod(p**j - 1 for j in range(largest + 1, shape.n + 1))
-    bottom = math.prod(p**j - 1 for e in others for j in range(1, e + 1))
-    if top % bottom:
-        raise RuntimeError("group order is not divisible by parabolic order")
-    return top // bottom
+    return q_multinomial_at(shape, p)
 
 
 def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator[FpMatrix]:

@@ -2,12 +2,13 @@
 
 A polynomial is a dense tuple of arbitrary-precision integer coefficients,
 constant term first; ``IntPoly((1, 0, 2))`` is ``1 + 2x^2``.  A truncated
-series carries exactly ``order + 1`` coefficients and its arithmetic never
-consults anything beyond the truncation order.  `factor_product` expands
-truncated products of factors (1 - t^k)^{+-1}, the kernel behind every
-closed form in the package.  Many of those products are palindromic (or
-antipalindromic) polynomials: `_mirrored_prefix` expands such a product
-only through half its degree and reads the upper half off the lower one.
+series is the list of its ``order + 1`` coefficients through t^order, as
+`factor_product` returns it; nothing past the order is computed.
+`factor_product` expands truncated products of factors (1 - t^k)^{+-1}, the
+kernel behind every closed form in the package.  Many of those products are
+palindromic (or antipalindromic) polynomials: `_mirrored_prefix` expands such
+a product only through half its degree and reads the upper half off the lower
+one.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely between threads.
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ValidationError, frozen
 
 # Degree reported for the zero polynomial: a sentinel strictly below every
-# attainable degree, so `reverse`/`degree` comparisons never need a special case.
+# attainable degree, so degree comparisons never need a special case.
 ZERO_DEGREE = -1
 
 
@@ -111,19 +112,6 @@ class IntPoly:
             acc = acc * q + c
         return acc
 
-    def reverse(self, d: int) -> IntPoly:
-        """Return x^d * p(1/x); requires d at least the degree of p."""
-        if d < 0:
-            raise ValidationError("reversal degree must be nonnegative")
-        if d < self.degree:
-            raise ValidationError(
-                f"cannot reverse a degree-{self.degree} polynomial within degree {d}"
-            )
-        out = [0] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return IntPoly(out)
-
     def exact_quotient(self, divisor: IntPoly) -> IntPoly:
         """Exact polynomial division; rejects any nonzero remainder.
 
@@ -154,6 +142,7 @@ class IntPoly:
         return IntPoly(out)
 
 
+# No caller in the package; perfbench/spans.py still looks the class up by name.
 @frozen
 class TruncatedSeries:
     """Formal power series known exactly through t^order, nothing beyond."""
@@ -171,21 +160,6 @@ class TruncatedSeries:
             )
         object.__setattr__(self, "coeffs", data)
         object.__setattr__(self, "order", order)
-
-    def coefficient(self, m: int) -> int:
-        if not 0 <= m <= self.order:
-            raise ValidationError(f"coefficient index {m} outside truncation order {self.order}")
-        return self.coeffs[m]
-
-    def mul_poly(self, p: IntPoly) -> TruncatedSeries:
-        out = [0] * (self.order + 1)
-        for j, d in enumerate(p.coeffs):
-            if d:
-                for i in range(self.order + 1 - j):
-                    c = self.coeffs[i]
-                    if c:
-                        out[i + j] += c * d
-        return TruncatedSeries(out, self.order)
 
 
 def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:
@@ -232,15 +206,3 @@ def _mirrored_prefix(
     low = factor_product(num, den, half)
     out = low + [sign * c for c in reversed(low[: degree - half])]
     return out[: order + 1] + [0] * (order - degree)
-
-
-def series_reciprocal_product(weights: Sequence[int], order: int) -> TruncatedSeries:
-    """Expansion of prod_i 1/(1 - t^{w_i}) through t^order.
-
-    The coefficient of t^m counts representations of m as a nonnegative
-    integer combination of the weights.
-
-    >>> series_reciprocal_product((1, 2), 4).coeffs
-    (1, 1, 2, 2, 3)
-    """
-    return TruncatedSeries(factor_product((), weights, order), order)

@@ -10,10 +10,11 @@ largest block's factorial is cancelled before expanding: qbinom uses
 e <= n - e, and the q-multinomial [n]! / prod_i [e_i]! starts its numerator
 at e_max + 1 and divides by the other blocks only.  Both are palindromes of
 degree e(n - e) and nu, so only the lower half of a row is expanded and the
-upper half is read off it (`polycore._mirrored_prefix`).  `q_binomial_at`
-evaluates qbinom at an integer by the product, without the row.  The
-q-factorial is kept on plain `IntPoly` products as the oracle the kernel is
-checked against, and `verify` compares both with the Pascal-type recurrence
+upper half is read off it (`polycore._mirrored_prefix`).  `q_multinomial_at`
+evaluates a q-multinomial at an integer by the same cancelled product, without
+the row; `q_binomial_at` is its two-block case.  The q-factorial is kept on
+plain `IntPoly` products as the oracle the kernel is checked against, and
+`verify` compares both with the Pascal-type recurrence
 qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), and Horner on the
 row with `q_binomial_at`.  Partition counting and bounded-multiset
 enumeration provide independent oracles for the same coefficients.
@@ -128,10 +129,9 @@ def q_binomial(n: int, e: int) -> IntPoly:
 def q_binomial_at(n: int, e: int, q: int) -> int:
     """The Gaussian binomial coefficient evaluated at the integer q, without its row.
 
-    For q = 0 and |q| >= 2 by the product prod_{i=1}^{e} (q^{n-e+i} - 1) / (q^i - 1),
-    whose division must be exact (at q = 0 every factor is -1, so it gives 1); at
-    q = 1 it is C(n, e), and at q = -1 it is 0 when n is even and e odd, else
-    C(n // 2, e // 2).
+    For q = 0 and |q| >= 2 it is the two-block `q_multinomial_at` (at q = 0
+    every factor is -1, so it gives 1); at q = 1 it is C(n, e), and at q = -1
+    it is 0 when n is even and e odd, else C(n // 2, e // 2).
 
     >>> q_binomial_at(4, 2, 2), q_binomial_at(4, 2, -1), q_binomial_at(5, 2, -1)
     (35, 2, 2)
@@ -141,10 +141,25 @@ def q_binomial_at(n: int, e: int, q: int) -> int:
         return math.comb(n, e)
     if q == -1:
         return 0 if n % 2 == 0 and e % 2 else math.comb(n // 2, e // 2)
-    top = math.prod(q ** (n - e + i) - 1 for i in range(1, e + 1))
-    value, rest = divmod(top, math.prod(q**i - 1 for i in range(1, e + 1)))
+    return q_multinomial_at(FlagShape(n, (e,)), q) if e else 1
+
+
+def q_multinomial_at(shape: FlagShape, q: int) -> int:
+    """The q-multinomial of `shape` evaluated at an integer q other than 1 and -1.
+
+    [n]!/prod_i [e_i]! at q is prod_{j<=n} (q^j - 1) over prod_i prod_{j<=e_i} (q^j - 1).
+    The largest block's factors cancel first, leaving j = e_max+1..n over the
+    other blocks' factors, so the products stay the size of the answer; the
+    division must be exact.
+
+    >>> q_multinomial_at(FlagShape(3, (1, 2)), 2), q_multinomial_at(FlagShape(4, (2,)), -2)
+    (21, 15)
+    """
+    *others, largest = sorted(shape.block_sizes)
+    top = math.prod(q**j - 1 for j in range(largest + 1, shape.n + 1))
+    value, rest = divmod(top, math.prod(q**j - 1 for e in others for j in range(1, e + 1)))
     if rest:
-        raise RuntimeError(f"q-binomial product left a remainder at n={n}, e={e}, q={q}")
+        raise RuntimeError(f"q-multinomial product left a remainder for {shape} at q={q}")
     return value
 
 

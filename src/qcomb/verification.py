@@ -541,7 +541,7 @@ def run_suite(suite: str, max_n: int = 6, cap: int = DEFAULT_CAP) -> list[CheckR
     elif suite in _CHECKS:
         names = [suite]
     else:
-        raise ValueError(f"unknown suite {suite!r}")
+        raise ValidationError(f"unknown suite {suite!r}")
     return [
         _run_check(name, check_name, check, template, max_n, cap)
         for name in names

@@ -222,7 +222,7 @@ def test_run_suite_all_passes_and_rejects_unknown():
     # every row of `--suite all` is pinned in test_verification.py
     from qcomb.verification import run_suite
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         run_suite("nonsense")
     for max_n in (0, -1):
         with pytest.raises(ValidationError):

@@ -10,7 +10,6 @@ from qcomb import (
     ValidationError,
     WeightVector,
     all_shapes,
-    alpha,
     denumerant,
     denumerant_bounds,
     epsilon_weights,
@@ -90,6 +89,11 @@ def test_subset_histogram_matches_popcount_loop():
 def test_psi_subset_cap():
     with pytest.raises(ResourceLimitError):
         psi(25, 3, "subset-oracle", cap=2**20)
+
+
+def alpha(n: int, k: int) -> Fraction:
+    # the logarithmic-series coefficient, as a fraction
+    return Fraction(restricted_divisor_sum(n, k), k)
 
 
 def _psi_multi_index(n: int, r: int) -> int:

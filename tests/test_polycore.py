@@ -8,7 +8,6 @@ from qcomb import (
     all_shapes,
     factor_product,
     q_multinomial_prefix,
-    series_reciprocal_product,
 )
 from qcomb.polycore import _mirrored_prefix
 
@@ -28,24 +27,6 @@ def test_degree_sentinel():
     assert IntPoly((5,)).degree == 0
     assert IntPoly((0, 0, 1)).degree == 2
     assert IntPoly((1, 0, 0)).coeffs == (1,)  # trailing zeros trimmed
-
-
-def test_reverse_examples():
-    assert IntPoly((1, 2)).reverse(1).coeffs == (2, 1)
-    palindrome = IntPoly((1, 1, 2, 1, 1))
-    assert palindrome.reverse(4) == palindrome
-    assert IntPoly((1,)).reverse(3).coeffs == (0, 0, 0, 1)
-
-
-def test_reverse_rejects_small_degree():
-    with pytest.raises(ValidationError):
-        IntPoly((1, 2, 3)).reverse(1)
-    with pytest.raises(ValidationError):
-        IntPoly((1,)).reverse(-1)
-
-
-def test_reverse_of_zero_is_zero():
-    assert IntPoly.zero().reverse(5) == IntPoly.zero()
 
 
 def test_eval_examples():
@@ -79,23 +60,15 @@ def test_eval_is_ring_homomorphism(a, b, q):
     assert (a + b).eval_at(q) == a.eval_at(q) + b.eval_at(q)
 
 
-@given(polys, st.integers(min_value=0, max_value=12))
-def test_double_reverse_is_identity(p, slack):
-    d = max(p.degree, 0) + slack
-    assert p.reverse(d).reverse(d) == p
-
-
 def test_series_examples():
-    assert series_reciprocal_product((1, 2), 4).coeffs == (1, 1, 2, 2, 3)
-    assert series_reciprocal_product((1, 1, 1), 2).coeffs == (1, 3, 6)
-    assert series_reciprocal_product((5, 3), 0).coeffs == (1,)
+    # reciprocal weight products prod 1/(1 - t^w): counts of weighted representations
+    assert factor_product((), (1, 2), 4) == [1, 1, 2, 2, 3]
+    assert factor_product((), (1, 1, 1), 2) == [1, 3, 6]
+    assert factor_product((), (5, 3), 0) == [1]
 
 
 def test_series_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        series_reciprocal_product((1, 0), 4)
-    with pytest.raises(ValidationError):
-        series_reciprocal_product((2,), -1)
+    # zero weights and negative orders: test_factor_product_edge_cases
     with pytest.raises(ValidationError):
         TruncatedSeries((1, 2), 3)
 
@@ -105,11 +78,11 @@ def test_series_rejects_bad_input():
     st.integers(min_value=0, max_value=25),
 )
 def test_series_truncation_consistency(weights, order):
-    full = series_reciprocal_product(weights, order)
+    full = factor_product((), weights, order)
     for shorter in range(order + 1):
-        assert full.coeffs[: shorter + 1] == series_reciprocal_product(weights, shorter).coeffs
-    assert all(c >= 0 for c in full.coeffs)
-    assert full.coefficient(0) == 1
+        assert full[: shorter + 1] == factor_product((), weights, shorter)
+    assert all(c >= 0 for c in full)
+    assert full[0] == 1
 
 
 @given(
@@ -164,14 +137,6 @@ def test_mirrored_prefix_matches_full_expansion():
         _assert_mirror_matches(range(1, n + 1), (), n * (n + 1) // 2, -1 if n % 2 else 1)
 
 
-def test_series_coefficient_bounds():
-    s = series_reciprocal_product((1, 2), 4)
-    with pytest.raises(ValidationError):
-        s.coefficient(5)
-    with pytest.raises(ValidationError):
-        s.coefficient(-1)
-
-
 def test_docstring_examples():
     import doctest
     import importlib
@@ -185,3 +150,13 @@ def test_docstring_examples():
     ]
     assert sum(r.failed for r in results) == 0
     assert sum(r.attempted for r in results) > 0
+
+
+def test_public_names_resolve_once():
+    import qcomb
+
+    assert len(qcomb.__all__) == len(set(qcomb.__all__))
+    namespace: dict = {}
+    exec("from qcomb import *", namespace)
+    for name in qcomb.__all__:
+        assert namespace[name] is getattr(qcomb, name)

@@ -15,7 +15,7 @@ from qcomb import (
     q_int,
     q_multinomial,
 )
-from qcomb.qanalogue import q_binomial_at
+from qcomb.qanalogue import q_binomial_at, q_multinomial_at
 
 
 def test_q_int_examples():
@@ -37,6 +37,11 @@ def test_q_binomial_at_matches_horner():
             poly = q_binomial(n, e)
             for q in range(-4, 5):
                 assert q_binomial_at(n, e, q) == poly.eval_at(q)
+    for n in range(1, 9):
+        for shape in all_shapes(n):
+            poly = q_multinomial(shape)
+            for q in (-4, -3, -2, 0, 2, 3, 4, 5):
+                assert q_multinomial_at(shape, q) == poly.eval_at(q)
     for n, e in [(-1, 0), (3, -1), (3, 4)]:
         with pytest.raises(ValidationError):
             q_binomial_at(n, e, 2)
