@@ -22,9 +22,9 @@ Usage examples
   qcomb verify --suite all --max-n 6
 
 Output goes to stdout (or --out FILE); diagnostics go to stderr.  Exit
-status: 0 success, 1 validation or usage error, 2 resource-cap error,
-3 verification failure.  The cap on enumerations can also be set through
-the QCOMB_CAP environment variable; an explicit --cap wins.
+status: 0 success, 1 validation or usage error, 2 resource-cap error or
+out of memory, 3 verification failure.  The cap on enumerations can also
+be set through the QCOMB_CAP environment variable; an explicit --cap wins.
 """
 
 from __future__ import annotations
@@ -321,13 +321,16 @@ def run(argv: Sequence[str] | None = None) -> int:
         if args.cap < 1:
             raise ValidationError(f"--cap must be a positive integer, got {args.cap}")
         record, status = args.handler(args)
+        text = render(record, args.format)
     except ValidationError as exc:
         print(f"qcomb: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except ResourceLimitError as exc:
         print(f"qcomb: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    text = render(record, args.format)
+    except MemoryError:
+        print(f"qcomb: resource limit: {args.command} ran out of memory", file=sys.stderr)
+        return EXIT_RESOURCE
     if args.out:
         try:
             with open(args.out, "w", newline="") as handle:

@@ -30,24 +30,24 @@ def check_cap(required: int, cap: int, what: str) -> None:
         raise ResourceLimitError(f"{what} requires enumerating {amount} items, above the cap of {cap}")
 
 
+def check_cap_bits(bits: int, cap: int, what: str) -> None:
+    """Raise ResourceLimitError if a lower bound of 2^bits items already exceeds `cap`;
+    it refuses before the exact count, which may be huge, is built."""
+    if bits >= cap.bit_length():  # then 2^bits >= 2^cap.bit_length() > cap
+        raise ResourceLimitError(
+            f"{what} requires enumerating at least 2^{bits} items, above the cap of {cap}")
+
+
 def frozen(cls):
     """Make `cls` an immutable value class over its annotated fields: equal when
     the fields are, hashed as their tuple, shown as `Name(field=value, ...)`.
-    Assigning or deleting raises AttributeError, so constructors set fields with
-    `object.__setattr__` (the loops that build words and partitions in bulk store
-    them straight into the instance `__dict__`); a class without an `__init__`
-    gets one taking the fields.
+    Assigning or deleting raises AttributeError, so each class's own `__init__`
+    sets its fields with `object.__setattr__` (the loops that build words and
+    partitions in bulk store them straight into the instance `__dict__`).
     """
     names = tuple(cls.__annotations__)
     get = attrgetter(*names)
     key = get if len(names) > 1 else lambda self: (get(self),)
-
-    def __init__(self, *args, **kwargs):
-        fields = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or fields.keys() != set(names):
-            raise TypeError(f"{cls.__name__}() takes exactly the fields {', '.join(names)}")
-        for name in names:
-            object.__setattr__(self, name, fields[name])
 
     def __eq__(self, other):
         return get(self) == get(other) if other.__class__ is self.__class__ else NotImplemented
@@ -58,7 +58,7 @@ def frozen(cls):
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{cls.__name__} is immutable: cannot set or delete {name!r}")
 
-    methods = dict(__init__=__init__, __eq__=__eq__, __hash__=lambda self: hash(key(self)),
+    methods = dict(__eq__=__eq__, __hash__=lambda self: hash(key(self)),
                    __repr__=__repr__, __setattr__=__setattr__, __delattr__=__setattr__)
     for name, method in methods.items():
         if name not in vars(cls):  # the class's own methods win

@@ -24,7 +24,7 @@ from bisect import bisect_left, bisect_right
 from operator import lt, mul
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_CAP, ResourceLimitError, ValidationError, check_cap, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, check_cap_bits, frozen
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial_at
@@ -288,6 +288,7 @@ def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[O
     two fields straight into each new instance's __dict__;
     test_enumerated_objects_match_public_constructors pins them.
     """
+    check_cap_bits(shape.n - max(shape.block_sizes), cap, "ordered set partition enumeration")
     check_cap(shape.multinomial(), cap, "ordered set partition enumeration")
     everything = tuple(range(1, shape.n + 1))
     if not shape.d:
@@ -546,10 +547,7 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
     test_enumerated_objects_match_public_constructors pins them.
     """
     _require_prime(p)
-    if shape.nu >= cap.bit_length():  # a monic q-multinomial of degree nu: p^nu >= 2^nu > cap
-        raise ResourceLimitError(
-            f"flag enumeration requires enumerating at least 2^{shape.nu} items, above the cap of {cap}"
-        )
+    check_cap_bits(shape.nu, cap, "flag enumeration")  # a monic degree-nu count at p: >= 2^nu
     check_cap(flag_count_group_formula(shape, p), cap, "flag enumeration")
     zero = (0,) * shape.n
     # each chain with the index of its last basis in that basis's level

@@ -14,7 +14,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .denumerant import _psi_binomial_sums
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, check_cap_bits, frozen
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
 
@@ -31,7 +31,7 @@ class MultisetWord:
 
     def __init__(self, letters: Sequence[int], shape: FlagShape):
         data = tuple(letters)
-        if tuple(sorted(data)) != shape.sorted_letters:
+        if sorted(data) != _first_word(shape):
             raise ValidationError(f"letters {data} do not have block content {shape.block_sizes}")
         object.__setattr__(self, "letters", data)
         object.__setattr__(self, "shape", shape)
@@ -68,6 +68,11 @@ class MahonianTable:
         return 0
 
 
+def _first_word(shape: FlagShape) -> list[int]:
+    # the lexicographically first word: letter i written e_i times, in order
+    return [i for i, e in enumerate(shape.block_sizes, start=1) for _ in range(e)]
+
+
 def enumerate_words(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[MultisetWord]:
     """Every word of the given block content, exactly once, in lexicographic order.
 
@@ -77,8 +82,9 @@ def enumerate_words(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[Multis
     are built unchecked, by storing the two fields straight into each new
     instance's __dict__; test_enumerated_objects_match_public_constructors pins them.
     """
+    check_cap_bits(shape.n - max(shape.block_sizes), cap, "multiset word enumeration")
     check_cap(shape.multinomial(), cap, "multiset word enumeration")
-    a = list(shape.sorted_letters)
+    a = _first_word(shape)
     last = len(a) - 1
     new, cls = object.__new__, MultisetWord
     while True:

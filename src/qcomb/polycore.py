@@ -88,9 +88,7 @@ class IntPoly:
     def __sub__(self, other: IntPoly) -> IntPoly:
         return self + (-other)
 
-    def __mul__(self, other: IntPoly | int) -> IntPoly:
-        if isinstance(other, int):
-            return IntPoly(tuple(c * other for c in self.coeffs))
+    def __mul__(self, other: IntPoly) -> IntPoly:
         if self.is_zero() or other.is_zero():
             return IntPoly.zero()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -99,8 +97,6 @@ class IntPoly:
                 for j, d in enumerate(other.coeffs):
                     out[i + j] += c * d
         return IntPoly(out)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"IntPoly({self.coeffs!r})"
@@ -167,7 +163,8 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
 
     Multiplying by (1 - t^a) subtracts the series shifted by a; dividing by
     (1 - t^b) takes running sums along each residue class mod b.  Each factor
-    costs O(order) exact integer additions.
+    costs O(order) exact integer additions; a factor with a or b past the order
+    cannot reach t^order and is skipped.
 
     >>> factor_product((2, 3), (1, 1), 6)
     [1, 2, 2, 1, 0, 0, 0]
@@ -179,10 +176,12 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
         raise ValidationError(f"factor exponents must be positive integers, got {min(num + den)}")
     out = [1] + [0] * order
     for a in num:
-        out[a:] = map(operator.sub, out[a:], out[:-a])
+        if a <= order:
+            out[a:] = map(operator.sub, out[a:], out[:-a])
     for b in den:
-        for r in range(min(b, order + 1)):
-            out[r::b] = itertools.accumulate(out[r::b])
+        if b <= order:
+            for r in range(b):
+                out[r::b] = itertools.accumulate(out[r::b])
     return out
 
 

@@ -6,13 +6,13 @@ factors (1 - x^k)^{+-1}, expanded by the kernel `factor_product`:
     qbinom(n, e) = prod_{i=n-e+1}^{n} (1 - x^i) / prod_{j=1}^{e} (1 - x^j)
 
 The division is exact, so every coefficient is a nonnegative integer.  The
-largest block's factorial is cancelled before expanding: qbinom uses
-e <= n - e, and the q-multinomial [n]! / prod_i [e_i]! starts its numerator
-at e_max + 1 and divides by the other blocks only.  Both are palindromes of
-degree e(n - e) and nu, so only the lower half of a row is expanded and the
+largest block's factorial is cancelled before expanding: the q-multinomial
+[n]! / prod_i [e_i]! starts its numerator at e_max + 1 and divides by the
+other blocks only, and qbinom is its two-block case, with e <= n - e.  The
+row is a palindrome of degree nu, so only its lower half is expanded and the
 upper half is read off it (`polycore._mirrored_prefix`).  `q_multinomial_at`
 evaluates a q-multinomial at an integer by the same cancelled product, without
-the row; `q_binomial_at` is its two-block case.  The q-factorial is kept on
+the row; `q_binomial_at` is its two-block case too.  The q-factorial is kept on
 plain `IntPoly` products as the oracle the kernel is checked against, and
 `verify` compares both with the Pascal-type recurrence
 qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), and Horner on the
@@ -38,8 +38,8 @@ class FlagShape:
     The cuts split [n] into r+1 consecutive blocks of sizes e_1, ..., e_{r+1};
     d may be empty (one block).  The top inversion number nu counts pairs of
     positions in distinct blocks, eta counts pairs inside a block.  Cuts,
-    block sizes, sorted letters (the lex-first word), nu and eta are
-    computed once.
+    block sizes, nu and eta are computed once; nothing derived is longer
+    than r + 2, so a shape with a huge n stays small.
     """
 
     n: int
@@ -60,12 +60,10 @@ class FlagShape:
             )
         padded = (0,) + cuts + (n,)  # 0 = d_0 < d_1 < ... < d_r < d_{r+1} = n
         sizes = tuple(b - a for a, b in zip(padded, padded[1:]))
-        letters = tuple(i for i, e in enumerate(sizes, start=1) for _ in range(e))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", cuts)
         object.__setattr__(self, "cuts", padded)
         object.__setattr__(self, "block_sizes", sizes)
-        object.__setattr__(self, "sorted_letters", letters)
         object.__setattr__(self, "nu", (n * n - sum(e * e for e in sizes)) // 2)
         object.__setattr__(self, "eta", sum(e * (e - 1) // 2 for e in sizes))
 
@@ -79,11 +77,9 @@ class FlagShape:
         return len(self.d)
 
     def multinomial(self) -> int:
-        """n! / prod(e_i!), the number of words of this block content."""
-        total = math.factorial(self.n)
-        for e in self.block_sizes:
-            total //= math.factorial(e)
-        return total
+        """n! / prod(e_i!), the number of words of this block content; e_max! cancels first."""
+        *others, largest = sorted(self.block_sizes)
+        return math.prod(range(largest + 1, self.n + 1)) // math.prod(map(math.factorial, others))
 
 
 def all_shapes(n: int) -> Iterator[FlagShape]:
@@ -120,10 +116,9 @@ def _binomial_lower(n: int, e: int) -> int:
 
 
 def q_binomial(n: int, e: int) -> IntPoly:
-    """Gaussian binomial coefficient, degree e(n-e), positive coefficients."""
+    """Gaussian binomial coefficient, degree e(n-e): the two-block `q_multinomial`."""
     e = _binomial_lower(n, e)
-    degree = e * (n - e)
-    return IntPoly(_mirrored_prefix(range(n - e + 1, n + 1), range(1, e + 1), degree, degree))
+    return q_multinomial(FlagShape(n, (e,))) if e else IntPoly.one()
 
 
 def q_binomial_at(n: int, e: int, q: int) -> int:
@@ -173,14 +168,12 @@ def q_multinomial_prefix(shape: FlagShape, order: int) -> list[int]:
 
     The largest block's [e_max]! cancels the first e_max factors of [n]!, so
     the numerator runs over e_max + 1..n and the denominator over the other
-    blocks only.  The row is a palindrome of degree nu: past t^(nu // 2) it
-    is mirrored, not expanded.
+    blocks only; factors past the order are left out.  The row is a palindrome
+    of degree nu: past t^(nu // 2) it is mirrored, not expanded.
     """
-    sizes = list(shape.block_sizes)
-    largest = max(sizes)
-    sizes.remove(largest)
-    den = [j for e in sizes for j in range(1, e + 1)]
-    return _mirrored_prefix(range(largest + 1, shape.n + 1), den, shape.nu, order)
+    *others, largest = sorted(shape.block_sizes)
+    den = [j for e in others for j in range(1, min(e, order) + 1)]
+    return _mirrored_prefix(range(largest + 1, min(shape.n, order) + 1), den, shape.nu, order)
 
 
 @lru_cache(maxsize=None)

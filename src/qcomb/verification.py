@@ -17,7 +17,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .denumerant import (
     PsiTable,
@@ -34,7 +34,7 @@ from .denumerant import (
     restricted_divisor_sum,
     signed_subset_identity_check,
 )
-from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, frozen
+from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError
 from .flagcells import (
     FpMatrix,
     cell_dimension,
@@ -79,8 +79,7 @@ _SAMPLE_SEED = 74207281  # fixed so verification output is byte-reproducible
 Check = Callable[[int, int], Iterator[str | None]]
 
 
-@frozen
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     passed: bool

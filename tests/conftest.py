@@ -1,4 +1,5 @@
 import functools
+import signal
 
 import pytest
 
@@ -27,6 +28,30 @@ SWEEP_MAX_N = {
     "anti-vs-straight": 7,
     "prescribed-dimension": 8,
 }
+
+
+# A test still running after this many seconds fails with TimeoutError, so a
+# hang (a loop that never ends) is reported as a failure, not left to stall
+# the run.  The slowest test takes a few seconds.
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def _time_limit():
+    if not hasattr(signal, "SIGALRM"):  # no alarm signal on this platform: no limit
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test still running after {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @functools.cache

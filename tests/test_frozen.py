@@ -2,7 +2,6 @@ import pytest
 
 from qcomb import FlagShape, IntPoly, WeightVector
 from qcomb.cli import OutputRecord
-from qcomb.errors import frozen
 from qcomb.verification import CheckResult
 
 
@@ -30,8 +29,7 @@ def test_repr_lists_the_fields():
 
 def test_derived_attributes_are_not_fields():
     shape = FlagShape(5, (2, 3))
-    assert (shape.cuts, shape.block_sizes, shape.sorted_letters, shape.nu, shape.eta) == (
-        (0, 2, 3, 5), (2, 1, 2), (1, 1, 2, 3, 3), 8, 2)
+    assert (shape.cuts, shape.block_sizes, shape.nu, shape.eta) == ((0, 2, 3, 5), (2, 1, 2), 8, 2)
     assert repr(shape) == "FlagShape(n=5, d=(2, 3))"
     assert hash(shape) == hash((5, (2, 3)))
 
@@ -61,20 +59,3 @@ def test_generated_init_takes_positional_and_keyword_fields():
     assert (result.suite, result.cases, result.elapsed_s) == ("qanalogue", 1, 0.5)
     with pytest.raises(AttributeError):
         result.passed = False
-
-
-@pytest.mark.parametrize("args, kwargs", [
-    ((1,), {}),                     # missing field
-    ((1, 2, 3), {}),                # too many
-    ((1,), {"a": 2}),               # field given twice
-    ((1,), {"c": 2}),               # unknown field
-])
-def test_generated_init_rejects_wrong_fields(args, kwargs):
-    @frozen
-    class Pair:
-        a: int
-        b: int
-
-    assert Pair(1, 2) == Pair(b=2, a=1) and hash(Pair(1, 2)) == hash((1, 2))
-    with pytest.raises(TypeError):
-        Pair(*args, **kwargs)

@@ -141,15 +141,6 @@ def test_inv_bounds_reference_values():
     assert upper < 84
 
 
-def test_upper_bound_below_full_count_for_single_cut():
-    shape = FlagShape(10, (1,))
-    full10 = mahonian_table(FlagShape.full(10))
-    _, upper12 = inv_bounds(shape, 12)
-    _, upper20 = inv_bounds(shape, 20)
-    assert upper12 < 44871 and upper12 < full10.value(12) == 47043
-    assert upper20 < 182032 and upper20 < full10.value(20) == 230131
-
-
 def test_bound_rationals_are_normalized():
     for shape, k in [(FlagShape(5, (2,)), 6), (FlagShape(10, (1,)), 12), (FlagShape(3, (1,)), 2)]:
         for value in inv_bounds(shape, k):
