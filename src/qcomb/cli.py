@@ -42,10 +42,10 @@ from .denumerant import (
     mahonian_via_denumerant,
     psi,
 )
-from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, frozen
+from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError
 from .flagcells import _require_prime, cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
-from .qanalogue import FlagShape, q_binomial, q_binomial_at, q_multinomial
+from .qanalogue import FlagShape, q_binomial, q_binomial_at
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -55,57 +55,35 @@ EXIT_VERIFY = 3
 FORMATS = ("table", "csv", "json")
 
 
-@frozen
-class OutputRecord:
-    """One command's result: a titled table with all integers as strings.
+def output_record(kind: str, parameters: dict, columns: Sequence[str], rows: Iterable) -> dict:
+    """One command's result, as the object `output_record.schema.json` describes.
 
-    The constructor writes every parameter value and every cell as a decimal
-    string (a tuple parameter as a list of strings), so handlers pass plain
-    ints, Fractions and tuples and any JSON parser keeps the values exact.
+    Every parameter value and every cell becomes a decimal string (a tuple
+    parameter a list of strings), so handlers pass plain ints, Fractions and
+    tuples and any JSON parser keeps the values exact.  Each row is a tuple,
+    which `json.dumps` writes as an array: the garbage collector stops tracking
+    a tuple of strings but not a list, so a million rows build in half the time.
     """
-
-    kind: str
-    parameters: dict[str, str | list[str]]
-    columns: tuple[str, ...]
-    rows: tuple[tuple[str, ...], ...]
-
-    def __init__(self, kind: str, parameters: dict, columns: Sequence[str], rows: Iterable[Sequence]):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "parameters", {
+    return {
+        "kind": kind,
+        "parameters": {
             key: [str(x) for x in value] if isinstance(value, tuple) else str(value)
             for key, value in parameters.items()
-        })
-        object.__setattr__(self, "columns", tuple(columns))
-        object.__setattr__(self, "rows", tuple(tuple(str(cell) for cell in row) for row in rows))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": self.kind,
-            "parameters": self.parameters,
-            "payload": {
-                "columns": list(self.columns),
-                "rows": [list(row) for row in self.rows],
-            },
-        }
+        },
+        "payload": {"columns": list(columns), "rows": [tuple(map(str, row)) for row in rows]},
+    }
 
 
-def render(record: OutputRecord, fmt: str) -> str:
+def render(record: dict, fmt: str) -> str:
     if fmt == "json":
         import json
-        return json.dumps(record.to_json_obj(), indent=2) + "\n"
+        return json.dumps(record, indent=2) + "\n"
+    table = [record["payload"]["columns"], *record["payload"]["rows"]]
     if fmt == "csv":
-        lines = [",".join(record.columns)]
-        lines.extend(",".join(row) for row in record.rows)
-        return "\n".join(lines) + "\n"
-    widths = [len(c) for c in record.columns]
-    for row in record.rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(c.ljust(w) for c, w in zip(record.columns, widths)).rstrip()]
-    lines.extend(
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in record.rows
-    )
+        lines = map(",".join, table)
+    else:
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = ("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table)
     return "\n".join(lines) + "\n"
 
 
@@ -156,29 +134,24 @@ def _sigma_text(blocks: tuple[tuple[int, ...], ...]) -> str:
 # subcommand handlers; each returns (record, exit_code)
 
 
-def _cmd_qbinom(args) -> tuple[OutputRecord, int]:
+def _cmd_qbinom(args) -> tuple[dict, int]:
     params = {"n": args.n, "e": args.e}
     if args.eval_at is not None:
         params["eval"] = args.eval_at
         value = q_binomial_at(args.n, args.e, args.eval_at)
-        return OutputRecord("qbinom", params, ("value",), [[value]]), EXIT_OK
+        return output_record("qbinom", params, ("value",), [[value]]), EXIT_OK
     rows = enumerate(q_binomial(args.n, args.e).coeffs)
-    return OutputRecord("qbinom", params, ("k", "count"), rows), EXIT_OK
+    return output_record("qbinom", params, ("k", "count"), rows), EXIT_OK
 
 
-def _cmd_qmultinom(args) -> tuple[OutputRecord, int]:
-    shape = _parse_shape(args.n, args.d)
-    rows = enumerate(q_multinomial(shape).coeffs)
-    return OutputRecord("qmultinom", _shape_params(args, shape), ("k", "count"), rows), EXIT_OK
-
-
-def _cmd_invdist(args) -> tuple[OutputRecord, int]:
+def _cmd_row(args) -> tuple[dict, int]:
+    # qmultinom and invdist print one row: the q-multinomial's coefficients are the inversion counts
     shape = _parse_shape(args.n, args.d)
     rows = enumerate(mahonian_table(shape).counts)
-    return OutputRecord("invdist", _shape_params(args, shape), ("k", "count"), rows), EXIT_OK
+    return output_record(args.command, _shape_params(args, shape), ("k", "count"), rows), EXIT_OK
 
 
-def _cmd_inv(args) -> tuple[OutputRecord, int]:
+def _cmd_inv(args) -> tuple[dict, int]:
     shape = _parse_shape(args.n, args.d)
     if args.k < 0:
         raise ValidationError("inversion count must be nonnegative")
@@ -187,36 +160,36 @@ def _cmd_inv(args) -> tuple[OutputRecord, int]:
     elif args.method == "denumerant":
         value = mahonian_via_denumerant(shape, args.k)
     else:
-        if shape.d != FlagShape.full(args.n).d:
+        if shape.eta:  # eta = 0 exactly when every block has one letter
             raise ValidationError(
                 "the binomial route only computes the plain permutation counts; "
                 "use --d 1,2,...,n-1"
             )
         value = full_mahonian_via_binomials(args.n, args.k)
     params = _shape_params(args, shape, "k", "method")
-    return OutputRecord("inv", params, ("value",), [[value]]), EXIT_OK
+    return output_record("inv", params, ("value",), [[value]]), EXIT_OK
 
 
-def _cmd_psi(args) -> tuple[OutputRecord, int]:
+def _cmd_psi(args) -> tuple[dict, int]:
     value = psi(args.n, args.r, method=args.method, cap=args.cap)
     params = {"n": args.n, "r": args.r, "method": args.method}
-    return OutputRecord("psi", params, ("value",), [[value]]), EXIT_OK
+    return output_record("psi", params, ("value",), [[value]]), EXIT_OK
 
 
-def _cmd_denumerant(args) -> tuple[OutputRecord, int]:
+def _cmd_denumerant(args) -> tuple[dict, int]:
     weights = WeightVector(_parse_int_list(args.w, "--w"))
     params = {"w": weights.weights, "m": args.m}
-    return OutputRecord("denumerant", params, ("value",), [[denumerant(weights, args.m)]]), EXIT_OK
+    return output_record("denumerant", params, ("value",), [[denumerant(weights, args.m)]]), EXIT_OK
 
 
-def _cmd_bounds(args) -> tuple[OutputRecord, int]:
+def _cmd_bounds(args) -> tuple[dict, int]:
     shape = _parse_shape(args.n, args.d)
     lower, upper = inv_bounds(shape, args.k)
     rows = (("lower", lower), ("upper", upper))
-    return OutputRecord("bounds", _shape_params(args, shape, "k"), ("bound", "value"), rows), EXIT_OK
+    return output_record("bounds", _shape_params(args, shape, "k"), ("bound", "value"), rows), EXIT_OK
 
 
-def _cmd_flags(args) -> tuple[OutputRecord, int]:
+def _cmd_flags(args) -> tuple[dict, int]:
     shape = _parse_shape(args.n, args.d)
     _require_prime(args.p)  # --cells never builds a matrix, so check p here for both modes
     params = _shape_params(args, shape, "p")
@@ -226,14 +199,14 @@ def _cmd_flags(args) -> tuple[OutputRecord, int]:
             lam = cell_dimension(sigma)
             rows.append((_sigma_text(sigma.blocks), lam, args.p**lam))
         rows.append(("total", "", sum(row[2] for row in rows)))
-        return OutputRecord("flags-cells", params, ("sigma", "dimension", "flags"), rows), EXIT_OK
+        return output_record("flags-cells", params, ("sigma", "dimension", "flags"), rows), EXIT_OK
     flags = enumerate_flags(shape, args.p, cap=args.cap)
     if args.count_only:
-        return OutputRecord("flags-count", params, ("count",), [[len(flags)]]), EXIT_OK
-    return OutputRecord("flags", params, ("flag",), [[_flag_text(flag)] for flag in flags]), EXIT_OK
+        return output_record("flags-count", params, ("count",), [[len(flags)]]), EXIT_OK
+    return output_record("flags", params, ("flag",), [[_flag_text(flag)] for flag in flags]), EXIT_OK
 
 
-def _cmd_tau(args) -> tuple[OutputRecord, int]:
+def _cmd_tau(args) -> tuple[dict, int]:
     partition = tau_for_lambda(args.n, args.d1, args.k)
     params = {"n": args.n, "d1": args.d1, "k": args.k}
     rows = (
@@ -241,15 +214,15 @@ def _cmd_tau(args) -> tuple[OutputRecord, int]:
         ("tau2", " ".join(map(str, partition.blocks[1]))),
         ("dimension", cell_dimension(partition)),
     )
-    return OutputRecord("tau", params, ("name", "value"), rows), EXIT_OK
+    return output_record("tau", params, ("name", "value"), rows), EXIT_OK
 
 
-def _cmd_verify(args) -> tuple[OutputRecord, int]:
+def _cmd_verify(args) -> tuple[dict, int]:
     from .verification import run_suite  # verify alone loads the registry
     results = run_suite(args.suite, max_n=args.max_n, cap=args.cap)
     rows = [(res.suite, res.name, "PASS" if res.passed else "FAIL", res.detail) for res in results]
     params = {"suite": args.suite, "max_n": args.max_n}
-    record = OutputRecord("verify", params, ("suite", "check", "status", "detail"), rows)
+    record = output_record("verify", params, ("suite", "check", "status", "detail"), rows)
     return record, EXIT_OK if all(res.passed for res in results) else EXIT_VERIFY
 
 
@@ -278,8 +251,8 @@ def _build_parser(default_cap: int) -> _Parser:
     p = command("qbinom", "Gaussian binomial coefficients", _cmd_qbinom, "n", "e")
     p.add_argument("--eval", dest="eval_at", type=int, default=None, metavar="Q",
                    help="evaluate at an integer instead of listing coefficients")
-    command("qmultinom", "q-multinomial coefficients", _cmd_qmultinom, "n", cuts=True)
-    command("invdist", "inversion distribution table", _cmd_invdist, "n", cuts=True)
+    command("qmultinom", "q-multinomial coefficients", _cmd_row, "n", cuts=True)
+    command("invdist", "inversion distribution table", _cmd_row, "n", cuts=True)
     p = command("inv", "single inversion count", _cmd_inv, "n", cuts=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("table", "denumerant", "binomial"), default="table")

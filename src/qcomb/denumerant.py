@@ -221,7 +221,8 @@ def mahonian_via_denumerant(shape: FlagShape, k: int) -> int:
     if k > shape.nu:
         return 0
     coeffs = psi_prefix(shape.n, k)
-    series = factor_product((), epsilon_weights(shape).weights, k)
+    # the ramp weights of `epsilon_weights`, less those past t^k, which cannot reach it
+    series = factor_product((), [j for e in shape.block_sizes for j in range(1, min(e, k) + 1)], k)
     return sum(c * series[k - i] for i, c in enumerate(coeffs))
 
 

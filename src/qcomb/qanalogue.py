@@ -11,13 +11,15 @@ largest block's factorial is cancelled before expanding: the q-multinomial
 other blocks only, and qbinom is its two-block case, with e <= n - e.  The
 row is a palindrome of degree nu, so only its lower half is expanded and the
 upper half is read off it (`polycore._mirrored_prefix`).  `q_multinomial_at`
-evaluates a q-multinomial at an integer by the same cancelled product, without
-the row; `q_binomial_at` is its two-block case too.  The q-factorial is kept on
-plain `IntPoly` products as the oracle the kernel is checked against, and
-`verify` compares both with the Pascal-type recurrence
-qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e), and Horner on the
-row with `q_binomial_at`.  Partition counting and bounded-multiset
-enumeration provide independent oracles for the same coefficients.
+evaluates a q-multinomial at any integer without the row: by the same
+cancelled product, or at q = 1 and q = -1 by a product of binomials.
+`q_binomial_at` is its two-block case too, and `FlagShape.multinomial` its
+value at q = 1.  The q-factorial is kept on plain `IntPoly` products as the
+oracle the kernel is checked against, and `verify` compares both with the
+Pascal-type recurrence qbinom(n, e) = qbinom(n-1, e-1) + x^e * qbinom(n-1, e),
+and Horner on the row with `q_binomial_at`.  Partition counting and
+bounded-multiset enumeration provide independent oracles for the same
+coefficients.
 """
 
 from __future__ import annotations
@@ -77,9 +79,8 @@ class FlagShape:
         return len(self.d)
 
     def multinomial(self) -> int:
-        """n! / prod(e_i!), the number of words of this block content; e_max! cancels first."""
-        *others, largest = sorted(self.block_sizes)
-        return math.prod(range(largest + 1, self.n + 1)) // math.prod(map(math.factorial, others))
+        """n! / prod(e_i!), the number of words of this block content: the q = 1 value."""
+        return q_multinomial_at(self, 1)
 
 
 def all_shapes(n: int) -> Iterator[FlagShape]:
@@ -122,35 +123,40 @@ def q_binomial(n: int, e: int) -> IntPoly:
 
 
 def q_binomial_at(n: int, e: int, q: int) -> int:
-    """The Gaussian binomial coefficient evaluated at the integer q, without its row.
-
-    For q = 0 and |q| >= 2 it is the two-block `q_multinomial_at` (at q = 0
-    every factor is -1, so it gives 1); at q = 1 it is C(n, e), and at q = -1
-    it is 0 when n is even and e odd, else C(n // 2, e // 2).
+    """The Gaussian binomial coefficient evaluated at the integer q, without its row:
+    the two-block `q_multinomial_at`, and 1 for e = 0.
 
     >>> q_binomial_at(4, 2, 2), q_binomial_at(4, 2, -1), q_binomial_at(5, 2, -1)
     (35, 2, 2)
     """
     e = _binomial_lower(n, e)
-    if q == 1:
-        return math.comb(n, e)
-    if q == -1:
-        return 0 if n % 2 == 0 and e % 2 else math.comb(n // 2, e // 2)
     return q_multinomial_at(FlagShape(n, (e,)), q) if e else 1
 
 
 def q_multinomial_at(shape: FlagShape, q: int) -> int:
-    """The q-multinomial of `shape` evaluated at an integer q other than 1 and -1.
+    """The q-multinomial of `shape` evaluated at the integer q.
 
-    [n]!/prod_i [e_i]! at q is prod_{j<=n} (q^j - 1) over prod_i prod_{j<=e_i} (q^j - 1).
-    The largest block's factors cancel first, leaving j = e_max+1..n over the
-    other blocks' factors, so the products stay the size of the answer; the
-    division must be exact.
+    At q = 1 it is n!/prod_i e_i!, the product over i of C(e_1 + ... + e_i, e_i).
+    At q = -1 it is 0 when two or more blocks are odd, else the q = 1 value of
+    the halves e_i // 2 (the q-Lucas theorem at the primitive square root of
+    unity).  At any other q, [n]!/prod_i [e_i]! is prod_{j<=n} (q^j - 1) over
+    prod_i prod_{j<=e_i} (q^j - 1).  The largest block's factors cancel first,
+    leaving j = e_max+1..n over the other blocks' factors, so the products stay
+    the size of the answer; the division must be exact.
 
-    >>> q_multinomial_at(FlagShape(3, (1, 2)), 2), q_multinomial_at(FlagShape(4, (2,)), -2)
-    (21, 15)
+    >>> [q_multinomial_at(FlagShape(4, (2,)), q) for q in range(-2, 3)]
+    [15, 2, 1, 6, 35]
+    >>> [q_multinomial_at(FlagShape(3, (1, 2)), q) for q in range(-2, 3)]
+    [-3, 0, 1, 6, 21]
     """
-    *others, largest = sorted(shape.block_sizes)
+    sizes = shape.block_sizes
+    if q == -1:
+        if sum(e % 2 for e in sizes) > 1:
+            return 0
+        sizes, q = [e // 2 for e in sizes], 1
+    if q == 1:
+        return math.prod(map(math.comb, itertools.accumulate(sizes), sizes))
+    *others, largest = sorted(sizes)
     top = math.prod(q**j - 1 for j in range(largest + 1, shape.n + 1))
     value, rest = divmod(top, math.prod(q**j - 1 for e in others for j in range(1, e + 1)))
     if rest:

@@ -86,10 +86,11 @@ def test_json_schema_and_big_integer_round_trip(capsys):
 
 
 def test_output_record_writes_every_value_as_a_string():
-    record = cli.OutputRecord("bounds", {"n": 5, "d": (1, 2), "k": -6}, ("bound", "value"),
-                              [("lower", Fraction(-203, 2)), ("upper", 10**30)])
-    assert record.parameters == {"n": "5", "d": ["1", "2"], "k": "-6"}
-    assert record.rows == (("lower", "-203/2"), ("upper", str(10**30)))
+    record = cli.output_record("bounds", {"n": 5, "d": (1, 2), "k": -6}, ("bound", "value"),
+                               [("lower", Fraction(-203, 2)), ("upper", 10**30)])
+    jsonschema.validate(json.loads(json.dumps(record)), load_schema())
+    assert record["parameters"] == {"n": "5", "d": ["1", "2"], "k": "-6"}
+    assert record["payload"]["rows"] == [("lower", "-203/2"), ("upper", str(10**30))]
 
 
 def test_json_all_strings(capsys):
@@ -444,6 +445,22 @@ def _single_block_lower_bound(n, k):
         # the ramp weights past t^5 are skipped, not expanded
         pytest.param(["inv", "1000000", "--d", "500000", "--k", "5", "--method", "denumerant"],
                      0, "7", id="inv-denumerant-n-10^6"),
+        pytest.param(["inv", "10000000", "--d", "5000000", "--k", "5", "--method", "denumerant"],
+                     0, "7", id="inv-denumerant-n-10^7"),
+        pytest.param(
+            ["inv", "1000000000", "--d", "500000000", "--k", "5", "--method", "denumerant"],
+            0,
+            "7",
+            id="inv-denumerant-n-10^9",
+        ),
+        # the full shape is recognised by eta = 0, not by building 1, 2, ..., n - 1
+        pytest.param(["inv", "30000000", "--d", "5", "--k", "3", "--method", "binomial"], 1, None,
+                     id="inv-binomial-not-full-n-3*10^7"),
+        # C(n, e) at q = 1; C(n / 2, e / 2) at q = -1, with n and e even
+        pytest.param(["qbinom", "100000", "50000", "--eval", "1"], 0,
+                     str(math.comb(100000, 50000)), id="qbinom-eval-1-n-10^5"),
+        pytest.param(["qbinom", "100000", "50000", "--eval", "-1"], 0,
+                     str(math.comb(50000, 25000)), id="qbinom-eval-minus-1-n-10^5"),
         # a million rows; the table's sum is checked against a count that cancels 999999!
         pytest.param(["invdist", "1000000", "--d", "1", "--format", "csv"], 0, "0,1",
                      id="invdist-n-10^6"),
@@ -468,7 +485,7 @@ def test_large_arguments_end_quickly(argv, code, first_row):
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    if code == 2:  # over the cap: nothing on stdout, one line on stderr
+    if code:  # refused or over the cap: nothing on stdout, one line on stderr
         assert proc.stdout == "" and len(proc.stderr.splitlines()) == 1
     else:
         assert proc.stdout.splitlines()[1] == first_row

@@ -1,7 +1,6 @@
 import pytest
 
 from qcomb import FlagShape, IntPoly, WeightVector
-from qcomb.cli import OutputRecord
 from qcomb.verification import CheckResult
 
 
@@ -46,12 +45,6 @@ def test_assignment_and_deletion_raise():
 
 
 def test_generated_init_takes_positional_and_keyword_fields():
-    record = OutputRecord("psi", {"n": "6"}, ("value",), (("0",),))
-    assert record == OutputRecord(kind="psi", parameters={"n": "6"}, columns=("value",),
-                                  rows=(("0",),))
-    assert record == OutputRecord("psi", {"n": "6"}, rows=(("0",),), columns=("value",))
-    assert repr(record) == (
-        "OutputRecord(kind='psi', parameters={'n': '6'}, columns=('value',), rows=(('0',),))")
     result = CheckResult("qanalogue", "x", True, "1 pair", 1, 0.5)
     assert result == CheckResult(suite="qanalogue", name="x", passed=True, detail="1 pair",
                                  cases=1, elapsed_s=0.5)
