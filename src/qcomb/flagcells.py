@@ -11,7 +11,9 @@ form: `s_reduce` is its one-block case and `cell_form` runs it block by block,
 recording each column operation in the transition matrix g.  The number of
 unconstrained entries of that normal form is the cell dimension, and
 transporting the partition to a multiset word turns the dimension into an
-inversion count.
+inversion count.  `FpMatrix.rank` and `inverse` do their own row elimination,
+separate from `_column_reduce`, because the `cell-decomposition` and
+`coset-law` checks use them to check `_column_reduce`'s output.
 
 Everything is exact arithmetic over F_p, p a prime below 2^64.
 """
@@ -595,8 +597,10 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
     the rows below.  The last row's span is never built.
     """
     _require_prime(p)
-    order = math.prod(p**n - p**i for i in range(n))
-    check_cap(order, cap, "general linear group enumeration")
+    if n < 0:
+        raise ValidationError(f"matrix size must be nonnegative, got {n}")
+    check_cap_bits(n * (n - 1), cap, "general linear group enumeration")  # each p^n - p^i >= 2^(n-1)
+    check_cap(math.prod(p**n - p**i for i in range(n)), cap, "general linear group enumeration")
     vectors = list(itertools.product(range(p), repeat=n))
 
     def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> Iterator[FpMatrix]:

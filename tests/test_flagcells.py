@@ -458,19 +458,6 @@ def test_coset_law_exhaustive_f2():
     assert len(set(flags)) == q_multinomial(shape).eval_at(2)
 
 
-def test_coset_law_sampled_f3():
-    shape = FlagShape(3, (1, 2))
-    rng = random.Random(RNG_SEED)
-    group = list(enumerate_general_linear(3, 3))
-    assert len(group) == (27 - 1) * (27 - 3) * (27 - 9)
-    sample = rng.sample(group, 50)
-    for a in sample:
-        for b in sample[:15]:
-            assert (phi_flag(a, shape) == phi_flag(b, shape)) == is_parabolic_member(
-                b.inverse() @ a, shape
-            )
-
-
 def test_subspace_enumeration_counts():
     for n in range(1, 5):
         for e in range(n + 1):
@@ -559,6 +546,10 @@ def test_huge_over_cap_amounts_raise_one_line():
         with pytest.raises(ResourceLimitError, match=r"^flag enumeration requires "
                            r"enumerating at least 2\^40000 items, above the cap of 1000000$"):
             enumerate_flags(FlagShape(400, (200,)), 2)
+        # |GL(n, p)| >= 2^(n(n-1)): refused by that bound, before the order is computed
+        with pytest.raises(ResourceLimitError, match=r"^general linear group enumeration requires "
+                           r"enumerating at least 2\^99990000 items, above the cap of 1000000$"):
+            next(enumerate_general_linear(10**4, 2))
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -593,6 +584,9 @@ def test_gl_enumeration_rejection_matches_order_formula():
         assert group == sorted(set(group))
         assert len(group) == order
         assert all(FpMatrix(p, m).rank() == n for m in group)
+    assert sum(1 for _ in enumerate_general_linear(3, 3)) == (27 - 1) * (27 - 3) * (27 - 9)
+    with pytest.raises(ValidationError, match="nonnegative"):  # not a cap error at large -n
+        next(enumerate_general_linear(-5, 2))
 
 
 def test_echelon_containment_matches_rank():

@@ -1,7 +1,7 @@
 import pytest
 
 from qcomb import cli
-from qcomb.errors import ResourceLimitError
+from qcomb.errors import DEFAULT_CAP, ResourceLimitError
 from qcomb.verification import _CHECKS, _run_check, run_suite
 
 # `qcomb verify --suite all --max-n 6`, as printed when every check passes
@@ -47,23 +47,15 @@ def test_verify_all_table_is_pinned(capsys):
     assert capsys.readouterr().out == VERIFY_ALL_6
 
 
-# cases compared by each check at max_n 6, including the two rows whose
-# detail does not print a count
-CASES_ALL_6 = {
-    "recurrence-vs-quotient": 28, "palindrome-and-symmetry": 28, "partition-coefficients": 98,
-    "bounded-multiset-sums": 27, "degree-and-total": 63, "inversion-counters-agree": 400,
-    "oracle-vs-qmultinomial": 63, "table-row-invariants": 63, "rowsum-recurrence": 40,
-    "full-log-concavity": 5, "refinement-recurrence": 364, "rational-bounds": 564,
-    "psi-four-methods": 62, "psi-symmetry-and-bound": 62, "unit-weight-denumerant": 186,
-    "signed-subset-identity": 20, "mahonian-via-denumerant": 564, "binomial-route": 41,
-    "quasipolynomial-differences": 3, "denumerant-bounds": 1953, "counting-triangle": 30,
-    "word-transport": 63, "anti-vs-straight": 63, "cell-decomposition": 1008,
-    "coset-law": 4512, "prescribed-dimension": 85, "column-reduction": 240,
-}
+# cases compared at max_n 6 by the two checks whose detail does not print a
+# count; VERIFY_ALL_6 pins the count of every other check
+CASES_ALL_6 = {"full-log-concavity": 5, "cell-decomposition": 1008}
 
 
 def test_every_check_case_count_is_pinned():
-    assert {r.name: r.cases for r in run_suite("all", max_n=6)} == CASES_ALL_6
+    checks = {name: (check, template) for rows in _CHECKS.values() for name, check, template in rows}
+    cases = {name: _run_check("", name, *checks[name], 6, DEFAULT_CAP).cases for name in CASES_ALL_6}
+    assert cases == CASES_ALL_6
 
 
 def _cases(count, mismatch=None):
