@@ -23,14 +23,12 @@ Usage examples
 
 Output goes to stdout (or --out FILE); diagnostics go to stderr.  Exit
 status: 0 success, 1 validation or usage error, 2 resource-cap error or
-out of memory, 3 verification failure.  The cap on enumerations can also
-be set through the QCOMB_CAP environment variable; an explicit --cap wins.
+out of memory, 3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Iterable, Sequence
 
@@ -229,11 +227,10 @@ def _cmd_verify(args) -> tuple[dict, int]:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser(default_cap: int) -> _Parser:
+def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="table", help="output format")
-    common.add_argument("--cap", type=int, default=default_cap,
-                        help=f"enumeration cap (default {default_cap}; env QCOMB_CAP overrides)")
+    common.add_argument("--cap", type=int, default=DEFAULT_CAP, help=f"enumeration cap (default {DEFAULT_CAP})")
     common.add_argument("--out", metavar="PATH", help="write output to a file instead of stdout")
 
     parser = _Parser(prog="qcomb", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -278,18 +275,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, execute one command, write its output; returns exit status."""
     if hasattr(sys, "set_int_max_str_digits"):  # exact answers may exceed 4300 digits
         sys.set_int_max_str_digits(0)
-    default_cap = DEFAULT_CAP
-    env_cap = os.environ.get("QCOMB_CAP")
-    if env_cap is not None:
-        try:
-            default_cap = int(env_cap)
-        except ValueError:
-            default_cap = 0
-        if default_cap < 1:
-            print(f"qcomb: ignoring QCOMB_CAP={env_cap!r}, not a positive integer", file=sys.stderr)
-            default_cap = DEFAULT_CAP
-    parser = _build_parser(default_cap)
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.cap < 1:
             raise ValidationError(f"--cap must be a positive integer, got {args.cap}")

@@ -20,7 +20,7 @@ from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap_bits, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly, _mirrored_prefix, factor_product
 from .qanalogue import FlagShape
 
@@ -178,7 +178,7 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
         value = psi_prefix(n, min(r, top - r))[-1]
         return -value if n % 2 and 2 * r > top else value
     if method == "subset-oracle":
-        check_cap_bits(n, cap, "signed subset enumeration")
+        check_cap(cap, "signed subset enumeration", n)
         return _subset_signed_histogram(n)[r]
     return _exp_log_coefficients(n, r)[r]
 

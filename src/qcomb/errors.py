@@ -6,6 +6,7 @@ with a larger cap, but never the former.
 """
 
 from operator import attrgetter
+from typing import Callable
 
 
 class ValidationError(ValueError):
@@ -22,20 +23,32 @@ DEFAULT_CAP = 10**6
 SUITE_NAMES = ("qanalogue", "inversions", "denumerant", "flagcells")
 
 
-def check_cap(required: int, cap: int, what: str) -> None:
-    """Raise ResourceLimitError if an enumeration of `required` items exceeds `cap`.
-    An amount past 64 bits is named by its size, "at least 2^N", to keep the message short."""
-    if required > cap:
-        amount = required if required.bit_length() <= 64 else f"at least 2^{required.bit_length() - 1}"
-        raise ResourceLimitError(f"{what} requires enumerating {amount} items, above the cap of {cap}")
+def check_cap(cap: int, what: str, bits: int, count: Callable[[], int] | None = None) -> None:
+    """Raise ResourceLimitError if an enumeration of at least 2^bits items, or of
+    exactly `count()` items, exceeds `cap`.  The bound is checked first, so `count`,
+    which may be huge to build, is called only when the bound fits.  An exact amount
+    past 64 bits is named by its size, "at least 2^N", to keep the message short.
 
-
-def check_cap_bits(bits: int, cap: int, what: str) -> None:
-    """Raise ResourceLimitError if a lower bound of 2^bits items already exceeds `cap`;
-    it refuses before the exact count, which may be huge, is built."""
+    >>> def refusal(call, *args):
+    ...     try:
+    ...         call(*args)
+    ...     except ResourceLimitError as exc:
+    ...         return str(exc)
+    >>> refusal(check_cap, 100, "flag enumeration", 7, lambda: 1 // 0)  # count is not called
+    'flag enumeration requires enumerating at least 2^7 items, above the cap of 100'
+    >>> refusal(check_cap, 100, "flag enumeration", 6, lambda: 2080)
+    'flag enumeration requires enumerating 2080 items, above the cap of 100'
+    >>> from qcomb import FlagShape, enumerate_words
+    >>> refusal(next, enumerate_words(FlagShape.full(25), cap=2**70))
+    'multiset word enumeration requires enumerating at least 2^83 items, above the cap of 1180591620717411303424'
+    """
     if bits >= cap.bit_length():  # then 2^bits >= 2^cap.bit_length() > cap
-        raise ResourceLimitError(
-            f"{what} requires enumerating at least 2^{bits} items, above the cap of {cap}")
+        required = f"at least 2^{bits}"
+    elif count is None or (required := count()) <= cap:
+        return
+    elif required.bit_length() > 64:
+        required = f"at least 2^{required.bit_length() - 1}"
+    raise ResourceLimitError(f"{what} requires enumerating {required} items, above the cap of {cap}")
 
 
 def frozen(cls):

@@ -23,10 +23,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from operator import lt, mul
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, check_cap_bits, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial_at
@@ -290,8 +291,7 @@ def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[O
     two fields straight into each new instance's __dict__;
     test_enumerated_objects_match_public_constructors pins them.
     """
-    check_cap_bits(shape.n - max(shape.block_sizes), cap, "ordered set partition enumeration")
-    check_cap(shape.multinomial(), cap, "ordered set partition enumeration")
+    check_cap(cap, "ordered set partition enumeration", shape.n - max(shape.block_sizes), shape.multinomial)
     everything = tuple(range(1, shape.n + 1))
     if not shape.d:
         yield OrderedSetPartition(shape, (everything,))
@@ -424,11 +424,10 @@ def cell_form(
 
 
 def cell_sum_poly(shape: FlagShape, anti: bool = False, cap: int = DEFAULT_CAP) -> IntPoly:
-    """Generating polynomial of cell dimensions over all partitions of the shape."""
-    hist = [0] * (shape.nu + 1)
-    for sigma in enumerate_partitions(shape, cap=cap):
-        hist[cell_dimension(sigma, anti)] += 1
-    return IntPoly(hist)
+    """Generating polynomial of cell dimensions over all partitions of the shape.
+    Its nu + 1 entries are laid out only once the enumeration has passed its cap."""
+    hist = Counter(map(cell_dimension, enumerate_partitions(shape, cap=cap), itertools.repeat(anti)))
+    return IntPoly([hist[k] for k in range(shape.nu + 1)])
 
 
 def tau_for_lambda(n: int, d1: int, k: int) -> OrderedSetPartition:
@@ -549,8 +548,8 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
     test_enumerated_objects_match_public_constructors pins them.
     """
     _require_prime(p)
-    check_cap_bits(shape.nu, cap, "flag enumeration")  # a monic degree-nu count at p: >= 2^nu
-    check_cap(flag_count_group_formula(shape, p), cap, "flag enumeration")
+    check_cap(cap, "flag enumeration", shape.nu,  # a monic degree-nu count at p: >= 2^nu
+              lambda: flag_count_group_formula(shape, p))
     zero = (0,) * shape.n
     # each chain with the index of its last basis in that basis's level
     chains: list[tuple[tuple[FpMatrix, ...], int]] = [((), 0)]
@@ -599,8 +598,8 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
     _require_prime(p)
     if n < 0:
         raise ValidationError(f"matrix size must be nonnegative, got {n}")
-    check_cap_bits(n * (n - 1), cap, "general linear group enumeration")  # each p^n - p^i >= 2^(n-1)
-    check_cap(math.prod(p**n - p**i for i in range(n)), cap, "general linear group enumeration")
+    check_cap(cap, "general linear group enumeration", n * (n - 1),  # each p^n - p^i >= 2^(n-1)
+              lambda: math.prod(p**n - p**i for i in range(n)))
     vectors = list(itertools.product(range(p), repeat=n))
 
     def extend(rows: list[tuple[int, ...]], span: set[tuple[int, ...]]) -> Iterator[FpMatrix]:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .denumerant import _psi_binomial_sums
-from .errors import DEFAULT_CAP, ValidationError, check_cap, check_cap_bits, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
 
@@ -82,8 +83,7 @@ def enumerate_words(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[Multis
     are built unchecked, by storing the two fields straight into each new
     instance's __dict__; test_enumerated_objects_match_public_constructors pins them.
     """
-    check_cap_bits(shape.n - max(shape.block_sizes), cap, "multiset word enumeration")
-    check_cap(shape.multinomial(), cap, "multiset word enumeration")
+    check_cap(cap, "multiset word enumeration", shape.n - max(shape.block_sizes), shape.multinomial)
     a = _first_word(shape)
     last = len(a) - 1
     new, cls = object.__new__, MultisetWord
@@ -133,11 +133,10 @@ def inversion_count_quadratic(word: MultisetWord | Sequence[int]) -> int:
 
 
 def inversion_distribution_oracle(shape: FlagShape, cap: int = DEFAULT_CAP) -> IntPoly:
-    """Brute-force inversion histogram over every word, packed as a polynomial."""
-    hist = [0] * (shape.nu + 1)
-    for word in enumerate_words(shape, cap=cap):
-        hist[inversion_count(word)] += 1
-    return IntPoly(hist)
+    """Brute-force inversion histogram over every word, packed as a polynomial.
+    Its nu + 1 entries are laid out only once the enumeration has passed its cap."""
+    hist = Counter(map(inversion_count, enumerate_words(shape, cap=cap)))
+    return IntPoly([hist[k] for k in range(shape.nu + 1)])
 
 
 def mahonian_table(shape: FlagShape) -> MahonianTable:

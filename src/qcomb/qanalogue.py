@@ -29,7 +29,7 @@ import math
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, check_cap_bits, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly, _mirrored_prefix
 
 
@@ -204,8 +204,8 @@ def multiset_sum_poly(e: int, s: int, cap: int = DEFAULT_CAP) -> IntPoly:
     """
     if e < 0 or s < 0:
         raise ValidationError("multiset bounds must be nonnegative")
-    check_cap_bits(min(e, s), cap, "bounded-multiset enumeration")  # binom(e+s, e) >= 2^min(e, s)
-    check_cap(math.comb(e + s, e), cap, "bounded-multiset enumeration")
+    check_cap(cap, "bounded-multiset enumeration", min(e, s),  # binom(e+s, e) >= 2^min(e, s)
+              lambda: math.comb(e + s, e))
     hist = [0] * (e * s + 1)
     for size in range(s + 1):
         for combo in itertools.combinations_with_replacement(range(1, e + 1), size):

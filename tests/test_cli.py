@@ -258,21 +258,11 @@ def test_out_to_an_unwritable_path_is_an_error(target, tmp_path, capsys):
     assert err.startswith(f"qcomb: error: cannot write {path}: ")
 
 
-def test_env_cap_override(monkeypatch, capsys):
+def test_cap_is_read_from_the_command_line_only(monkeypatch, capsys):
     monkeypatch.setenv("QCOMB_CAP", "5")
-    code, _, err = run_cli(["flags", "3", "--d", "1", "--p", "2"], capsys)
-    assert code == 2
-    assert "cap of 5" in err
-    # explicit --cap wins over the environment
-    monkeypatch.setenv("QCOMB_CAP", "5")
-    code, out, _ = run_cli(["flags", "3", "--d", "1", "--p", "2", "--cap", "100"], capsys)
-    assert code == 0
-    # a value that is not a positive integer is ignored with a warning
-    for value in ("many", "0", "-5"):
-        monkeypatch.setenv("QCOMB_CAP", value)
-        code, out, err = run_cli(["flags", "3", "--d", "1", "--p", "2"], capsys)
-        assert code == 0 and len(out.splitlines()) == 1 + 7  # the 7 points of P^2(F_2)
-        assert f"ignoring QCOMB_CAP={value!r}" in err
+    code, out, err = run_cli(["flags", "3", "--d", "1", "--p", "2"], capsys)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 1 + 7  # the 7 points of P^2(F_2)
 
 
 def test_module_entry_point():

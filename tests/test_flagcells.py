@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from qcomb import (
     enumerate_words,
     flag_count_group_formula,
     inversion_count,
+    inversion_distribution_oracle,
     is_parabolic_member,
     phi_flag,
     psi,
@@ -552,6 +554,21 @@ def test_huge_over_cap_amounts_raise_one_line():
             next(enumerate_general_linear(10**4, 2))
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_histogram_oracles_refuse_before_allocating():
+    # nu = 10^8: a histogram of nu + 1 entries laid out before the cap check
+    # would take about 800 MB; the refusal must come first
+    shape = FlagShape(20000, (10000,))
+    for oracle in (inversion_distribution_oracle, cell_sum_poly):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"at least 2\^10000 items"):
+                oracle(shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 def test_group_formula_examples():
