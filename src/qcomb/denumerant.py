@@ -11,6 +11,11 @@ f_n, Euler's pentagonal shortcut for r <= n, and exponentiating the
 logarithmic series built from restricted divisor sums); all four are exposed
 and cross-validated.  The direct expansion reads the upper half of f_n off
 the lower one, since psi_n(n(n+1)/2 - r) = (-1)^n psi_n(r).
+
+The module exports results, not checks.  The signed-subset identity (f_r
+times the series of D_w is the sum over subsets T of [r] of (-1)^|T| D_w
+shifted by sum(T)) and the quasi-polynomiality of D_w are compared in their
+`verify` rows (`qcomb.verification`).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
-from .polycore import IntPoly, _mirrored_prefix, factor_product
+from .polycore import _mirrored_prefix, factor_product
 from .qanalogue import FlagShape
 
 if TYPE_CHECKING:
@@ -48,9 +53,6 @@ class WeightVector:
     @classmethod
     def ones(cls, n: int) -> WeightVector:
         return cls((1,) * n)
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @frozen
@@ -183,36 +185,6 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
     return _exp_log_coefficients(n, r)[r]
 
 
-def generalized_binomial(a: int, b: int) -> int:
-    """Binomial coefficient extended by zero whenever min(a, b) < 0 or a < b."""
-    if min(a, b) < 0 or a < b:
-        return 0
-    return math.comb(a, b)
-
-
-def signed_subset_identity_check(r: int, w: WeightVector, order: int) -> bool:
-    """Check that multiplying the weight-reciprocal series by (1-t)...(1-t^r)
-    matches the signed subset-shift sum of denumerants, through t^order.
-
-    The product is a plain `IntPoly` convolution, not one more `factor_product`
-    call, so the two sides share only the series."""
-    if r < 0:
-        raise ValidationError("r must be nonnegative")
-    if order < 0:
-        raise ValidationError("truncation order must be nonnegative")
-    series = factor_product((), w.weights, order)
-    lhs = IntPoly(series) * IntPoly(factor_product(range(1, r + 1), (), r * (r + 1) // 2))
-
-    def d(m: int) -> int:
-        return series[m] if m >= 0 else 0
-
-    hist = _subset_signed_histogram(r)
-    return all(
-        lhs.coefficient(m) == sum(c * d(m - total) for total, c in enumerate(hist))
-        for m in range(order + 1)
-    )
-
-
 def mahonian_via_denumerant(shape: FlagShape, k: int) -> int:
     """Count words of the given block content with exactly k inversions,
     via the convolution of psi with the per-block ramp denumerant; 0 for k > nu."""
@@ -247,24 +219,6 @@ def full_mahonian_via_binomials(n: int, k: int) -> int:
     if n < 1:
         raise ValidationError("n must be a positive integer")
     return _psi_binomial_sums(n, k, 0)[0]
-
-
-def quasipolynomial_check(w: WeightVector, m0: int, samples: int) -> bool:
-    """True iff the n-th finite difference of m -> D_w(m), with step lcm(w),
-    vanishes at each of `samples` consecutive start points from m0 on."""
-    if samples < 1:
-        raise ValidationError("need at least one sample point")
-    if m0 < 0:
-        raise ValidationError("start point must be nonnegative")
-    n = len(w)
-    lam = math.lcm(*w.weights)
-    top = m0 + samples - 1 + n * lam
-    series = factor_product((), w.weights, top)
-    signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
-    return all(
-        sum(signs[j] * series[start + j * lam] for j in range(n + 1)) == 0
-        for start in range(m0, m0 + samples)
-    )
 
 
 def denumerant_bounds(shape: FlagShape, m: int) -> tuple[Fraction, Fraction]:

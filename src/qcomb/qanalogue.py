@@ -200,14 +200,26 @@ def partition_count(e: int, s: int, m: int) -> int:
 def multiset_sum_poly(e: int, s: int, cap: int = DEFAULT_CAP) -> IntPoly:
     """Sum of x^{sum(M)} over multisets M of at most s integers from [1, e].
 
-    Enumerates all binom(e+s, e) such multisets, so the count is capped.
+    Enumerates all binom(e+s, e) such multisets, so the count is capped.  A
+    depth-first walk over their non-increasing listings visits each multiset
+    once, in O(1): it carries the running sum, the largest part still allowed
+    and the room left, on an explicit stack, since s may be far deeper than
+    the recursion limit.  Below a node whose largest allowed part is 1 the
+    multisets add ones only, so it counts them in a flat loop.
     """
     if e < 0 or s < 0:
         raise ValidationError("multiset bounds must be nonnegative")
     check_cap(cap, "bounded-multiset enumeration", min(e, s),  # binom(e+s, e) >= 2^min(e, s)
               lambda: math.comb(e + s, e))
     hist = [0] * (e * s + 1)
-    for size in range(s + 1):
-        for combo in itertools.combinations_with_replacement(range(1, e + 1), size):
-            hist[sum(combo)] += 1
+    stack = [(0, e, s)]  # the empty multiset
+    while stack:
+        total, largest, room = stack.pop()
+        if largest == 1:  # the node itself, then 1, 2, ..., room more ones
+            for t in range(total, total + room + 1):
+                hist[t] += 1
+            continue
+        hist[total] += 1
+        if room:
+            stack.extend((total + part, part, room - 1) for part in range(1, largest + 1))
     return IntPoly(hist)

@@ -23,16 +23,14 @@ from .denumerant import (
     PsiTable,
     WeightVector,
     _exp_log_coefficients,
+    _subset_signed_histogram,
     denumerant,
     denumerant_bounds,
     epsilon_weights,
     full_mahonian_via_binomials,
-    generalized_binomial,
     mahonian_via_denumerant,
     psi,
-    quasipolynomial_check,
     restricted_divisor_sum,
-    signed_subset_identity_check,
 )
 from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError
 from .flagcells import (
@@ -285,7 +283,7 @@ def _check_psi_table_invariants(max_n: int, cap: int) -> Iterator[str | None]:
         for r in range(top + 1):
             if full[r] != sign * full[top - r]:
                 yield f"symmetry fails at n={n}, r={r}"
-            if abs(table.value(r)) > generalized_binomial(n - 1 + r, n - 1):
+            if abs(table.value(r)) > math.comb(n - 1 + r, n - 1):
                 yield f"binomial bound fails at n={n}, r={r}"
             yield None
 
@@ -294,22 +292,28 @@ def _check_unit_denumerant(max_n: int, cap: int) -> Iterator[str | None]:
     for n in range(1, min(max_n, 6) + 1):
         w = WeightVector.ones(n)
         for m in range(31):
-            if denumerant(w, m) != generalized_binomial(n - 1 + m, n - 1):
+            if denumerant(w, m) != math.comb(n - 1 + m, n - 1):
                 yield f"unit-weight denumerant fails at n={n}, m={m}"
             yield None
 
 
 def _check_signed_subset_identity(max_n: int, cap: int) -> Iterator[str | None]:
-    vectors = [
-        WeightVector.ones(4),
-        WeightVector((1, 2, 3)),
-        WeightVector((2, 3)),
-        epsilon_weights(FlagShape(5, (2,))),
-    ]
+    # (1-t)...(1-t^r) times the series of D_w, through t^30, against the sum over
+    # subsets T of [r] of (-1)^|T| D_w(m - sum(T)).  The product is a plain
+    # IntPoly convolution, not one more factor_product call, so the two sides
+    # share only the series.
+    order = 30
+    vectors = [(1, 1, 1, 1), (1, 2, 3), (2, 3), epsilon_weights(FlagShape(5, (2,))).weights]
     for r in range(5):
+        f_r = IntPoly(factor_product(range(1, r + 1), (), r * (r + 1) // 2))
+        hist = _subset_signed_histogram(r)
         for w in vectors:
-            if not signed_subset_identity_check(r, w, 30):
-                yield f"identity fails for r={r}, w={w.weights}"
+            series = factor_product((), w, order)
+            lhs = IntPoly(series) * f_r
+            for m in range(order + 1):
+                shifted = sum(c * series[m - total] for total, c in enumerate(hist[: m + 1]))
+                if lhs.coefficient(m) != shifted:
+                    yield f"identity fails for r={r}, w={w} at t^{m}"
             yield None
 
 
@@ -333,10 +337,16 @@ def _check_binomial_route(max_n: int, cap: int) -> Iterator[str | None]:
 
 
 def _check_quasipolynomial(max_n: int, cap: int) -> Iterator[str | None]:
-    vectors = [WeightVector((1, 2)), WeightVector((2, 3)), WeightVector((1, 2, 3))]
-    for w in vectors:
-        if not quasipolynomial_check(w, 0, 20):
-            yield f"finite differences do not vanish for {w.weights}"
+    # D_w is a quasi-polynomial of degree |w| - 1 whose period divides lcm(w)
+    # (Sylvester), so its |w|-th finite difference with step lcm(w) vanishes
+    samples = 20
+    for w in [(1, 2), (2, 3), (1, 2, 3)]:
+        n, step = len(w), math.lcm(*w)
+        series = factor_product((), w, samples - 1 + n * step)
+        signs = [(-1) ** (n - j) * math.comb(n, j) for j in range(n + 1)]
+        for start in range(samples):
+            if sum(c * series[start + j * step] for j, c in enumerate(signs)):
+                yield f"finite differences do not vanish for {w} at m={start}"
         yield None
 
 

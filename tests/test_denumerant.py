@@ -2,7 +2,6 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from qcomb import (
     FlagShape,
@@ -14,13 +13,10 @@ from qcomb import (
     denumerant_bounds,
     epsilon_weights,
     full_mahonian_via_binomials,
-    generalized_binomial,
     mahonian_table,
     mahonian_via_denumerant,
     psi,
-    quasipolynomial_check,
     restricted_divisor_sum,
-    signed_subset_identity_check,
 )
 from qcomb.denumerant import _subset_signed_histogram
 
@@ -140,28 +136,6 @@ def test_restricted_divisor_sum():
         restricted_divisor_sum(5, 0)
 
 
-def test_generalized_binomial_cases():
-    assert generalized_binomial(-1, 2) == 0
-    assert generalized_binomial(2, -1) == 0
-    assert generalized_binomial(3, 5) == 0
-    assert generalized_binomial(4, 2) == 6
-    assert generalized_binomial(0, 0) == 1
-
-
-def test_signed_subset_identity():
-    assert signed_subset_identity_check(0, WeightVector((2, 3)), 15)
-    assert signed_subset_identity_check(2, WeightVector((1, 2, 3)), 20)
-    assert signed_subset_identity_check(3, WeightVector.ones(4), 25)
-
-
-@given(
-    st.integers(min_value=0, max_value=4),
-    st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4),
-)
-def test_signed_subset_identity_random(r, weights):
-    assert signed_subset_identity_check(r, WeightVector(weights), 18)
-
-
 def test_mahonian_via_denumerant_examples():
     assert mahonian_via_denumerant(FlagShape(7, (2, 4)), 3) == 8
     for shape in [FlagShape(4, (2,)), FlagShape(6, (1, 3)), FlagShape(5, ())]:
@@ -179,13 +153,6 @@ def test_mahonian_via_denumerant_sweep():
 def test_full_mahonian_via_binomials():
     assert full_mahonian_via_binomials(3, 1) == 2
     assert full_mahonian_via_binomials(10, 12) == 47043
-
-
-def test_quasipolynomial_checks():
-    for n in range(1, 6):
-        assert quasipolynomial_check(WeightVector.ones(n), 0, 8)
-    with pytest.raises(ValidationError):
-        quasipolynomial_check(WeightVector((1, 2)), 0, 0)
 
 
 def test_denumerant_bounds_examples():

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -135,3 +136,13 @@ def test_multiset_sum_cap():
     # binom(2e, e) >= 2^e: refused by that bound, before the binomial is built
     with pytest.raises(ResourceLimitError, match=r"at least 2\^10000000 items"):
         multiset_sum_poly(10**7, 10**7)
+
+
+@pytest.mark.parametrize("e, s", [(1, 30000), (2, 2000)])
+def test_multiset_sum_long_rows_end_quickly(e, s):
+    # one step per multiset, not per part: each of these took 7 s or more when
+    # every multiset was summed from scratch
+    start = time.perf_counter()
+    poly = multiset_sum_poly(e, s, cap=math.comb(e + s, e))
+    assert time.perf_counter() - start < 3
+    assert poly == (IntPoly((1,) * (s + 1)) if e == 1 else q_binomial(s + e, e))

@@ -1,7 +1,9 @@
 import pytest
 
-from qcomb import cli
+from qcomb import cli, verification
+from qcomb.denumerant import _subset_signed_histogram
 from qcomb.errors import DEFAULT_CAP, ResourceLimitError
+from qcomb.polycore import factor_product
 from qcomb.verification import _CHECKS, _run_check, run_suite
 
 # `qcomb verify --suite all --max-n 6`, as printed when every check passes
@@ -52,10 +54,13 @@ def test_verify_all_table_is_pinned(capsys):
 CASES_ALL_6 = {"full-log-concavity": 5, "cell-decomposition": 1008}
 
 
+def _run_row(name, max_n=6, cap=DEFAULT_CAP):
+    check, template = next((c, t) for rows in _CHECKS.values() for n, c, t in rows if n == name)
+    return _run_check("", name, check, template, max_n, cap)
+
+
 def test_every_check_case_count_is_pinned():
-    checks = {name: (check, template) for rows in _CHECKS.values() for name, check, template in rows}
-    cases = {name: _run_check("", name, *checks[name], 6, DEFAULT_CAP).cases for name in CASES_ALL_6}
-    assert cases == CASES_ALL_6
+    assert {name: _run_row(name).cases for name in CASES_ALL_6} == CASES_ALL_6
 
 
 def _cases(count, mismatch=None):
@@ -92,9 +97,8 @@ def test_a_check_that_compares_nothing_fails():
 
 def test_psi_subset_route_over_the_cap_raises():
     # 2^10 > 1000: the subset oracle is refused at n = 10, not skipped, so verify exits 2
-    check, template = next((c, t) for name, c, t in _CHECKS["denumerant"] if name == "psi-four-methods")
     with pytest.raises(ResourceLimitError, match="^psi-four-methods: signed subset enumeration "):
-        _run_check("denumerant", "psi-four-methods", check, template, 12, 1000)
+        _run_row("psi-four-methods", 12, 1000)
 
 
 def test_verify_below_every_sweep_fails(capsys):
@@ -109,3 +113,25 @@ def test_verify_below_every_sweep_fails(capsys):
     assert "inversions  rowsum-recurrence            FAIL    0 values" in rows
     assert "flagcells   cell-decomposition           FAIL    skipped below n=3" in rows
     assert "flagcells   coset-law                    FAIL    skipped below n=3" in rows
+
+
+def test_signed_subset_row_fails_on_a_perturbed_histogram(monkeypatch):
+    def perturbed(r):
+        hist = list(_subset_signed_histogram(r))
+        hist[-1] += 1
+        return tuple(hist)
+
+    monkeypatch.setattr(verification, "_subset_signed_histogram", perturbed)
+    result = _run_row("signed-subset-identity")
+    assert (result.passed, result.detail) == (False, "identity fails for r=0, w=(1, 1, 1, 1) at t^0")
+
+
+def test_quasipolynomial_row_fails_on_a_bumped_series(monkeypatch):
+    def bumped(num, den, order):
+        series = factor_product(num, den, order)
+        series[7] += 1
+        return series
+
+    monkeypatch.setattr(verification, "factor_product", bumped)
+    result = _run_row("quasipolynomial-differences")
+    assert (result.passed, result.detail) == (False, "finite differences do not vanish for (1, 2) at m=3")
