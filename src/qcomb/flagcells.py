@@ -7,13 +7,14 @@ unique representative in a normal form indexed by an ordered set partition
 of the row indices: each block's columns are in reduced column-echelon form
 with pivot rows given by the block, and rows claimed by earlier blocks are
 zeroed out.  One column elimination, `_column_reduce`, computes every normal
-form: `s_reduce` is its one-block case and `cell_form` runs it block by block,
-recording each column operation in the transition matrix g.  The number of
-unconstrained entries of that normal form is the cell dimension, and
-transporting the partition to a multiset word turns the dimension into an
-inversion count.  `FpMatrix.rank` and `inverse` do their own row elimination,
-separate from `_column_reduce`, because the `cell-decomposition` and
-`coset-law` checks use them to check `_column_reduce`'s output.
+form: `_reduce_blocks` runs it block by block, recording each column
+operation in the transition matrix g; `s_reduce` is its one-block case and
+`cell_form` its shape case.  The number of unconstrained entries of that
+normal form is the cell dimension, and transporting the partition to a
+multiset word turns the dimension into an inversion count.  `FpMatrix.rank`
+and `inverse` both read one row elimination, `_row_reduce` (Gauss-Jordan),
+which shares no code with `_column_reduce` because the `cell-decomposition`
+and `coset-law` checks use them to check `_column_reduce`'s output.
 
 Everything is exact arithmetic over F_p, p a prime below 2^64.
 """
@@ -109,9 +110,6 @@ class FpMatrix:
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def column_block(self, start: int, stop: int) -> FpMatrix:
         return FpMatrix._wrap(self.p, tuple(row[start:stop] for row in self.entries))
 
@@ -138,45 +136,41 @@ class FpMatrix:
         )
 
     def rank(self) -> int:
-        """Rank by forward Gaussian elimination over F_p.
-
-        Each row in turn is cleared at the pivot columns found so far, by
-        multiples of the unscaled pivot rows; if anything is left, its first
-        nonzero entry is a new pivot.  Nothing above a pivot is ever cleared.
-        """
-        p = self.p
-        pivots: list[tuple[int, Sequence[int], int]] = []  # column, row, -1/pivot entry
-        for row in self.entries:
-            for col, top, minus_inv in pivots:
-                f = row[col]
-                if f:
-                    f *= minus_inv
-                    row = [(a + f * b) % p for a, b in zip(row, top)]
-            for col, x in enumerate(row):
-                if x:
-                    pivots.append((col, row, p - pow(x, -1, p)))
-                    break
-        return len(pivots)
+        return len(_row_reduce(self.p, self.entries)[1])
 
     def inverse(self) -> FpMatrix:
-        """Gauss-Jordan inverse; rejects non-square or singular input."""
+        """Gauss-Jordan on [A | I]: A is invertible iff its columns take every pivot."""
         n = self.rows
         if n != self.cols:
             raise ValidationError("only square matrices can be inverted")
-        p = self.p
-        work = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.entries)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col]), None)
-            if pivot is None:
-                raise ValidationError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = pow(work[col][col], -1, p)
-            work[col] = [(x * inv) % p for x in work[col]]
-            for r in range(n):
-                if r != col and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [(a - f * b) % p for a, b in zip(work[r], work[col])]
-        return FpMatrix._wrap(p, tuple(tuple(row[n:]) for row in work))
+        rows, pivots = _row_reduce(self.p, self.hstack(FpMatrix.identity(self.p, n)).entries)
+        if pivots != tuple(range(n)):
+            raise ValidationError("matrix is singular")
+        return FpMatrix._wrap(self.p, tuple(tuple(row[n:]) for row in rows))
+
+
+def _row_reduce(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Gauss-Jordan elimination over F_p: the reduced row-echelon rows and their
+    increasing pivot columns.  Row operations only, so `rank` and `inverse`
+    share no code with the column elimination `_column_reduce` they check.
+    """
+    work, pivots = [list(row) for row in rows], []
+    for col in range(len(work[0]) if work else 0):
+        top = len(pivots)
+        for r in range(top, len(work)):  # the first row without a pivot that is nonzero here
+            if work[r][col]:
+                break
+        else:
+            continue
+        inv = pow(work[r][col], -1, p)
+        pivot = [x * inv % p for x in work[r]]
+        work[r], work[top] = work[top], pivot
+        for i in range(len(work)):
+            f = work[i][col]
+            if f and i != top:
+                work[i] = [(a - f * b) % p for a, b in zip(work[i], pivot)]
+        pivots.append(col)
+    return work, tuple(pivots)
 
 
 def s_reduce(matrix: FpMatrix, anti: bool = False) -> tuple[tuple[int, ...], FpMatrix, FpMatrix]:
@@ -186,14 +180,21 @@ def s_reduce(matrix: FpMatrix, anti: bool = False) -> tuple[tuple[int, ...], FpM
     reduced form with strictly increasing 1-based pivot rows s: pivot
     entries are 1, pivot rows vanish outside their own column, and entries
     above each pivot (below, for the anti form) vanish.  The pivot sequence
-    is an invariant of the column space.  This is `_column_reduce` on one
-    block, with g starting as the identity.
+    is an invariant of the column space.  `_reduce_blocks` with one block.
     """
-    e, p = matrix.cols, matrix.p
-    cols = [list(column) for column in zip(*matrix.entries)]
+    (pivots,), reduced, g = _reduce_blocks(matrix, (0, matrix.cols), anti)
+    return pivots, reduced, g
+
+
+def _reduce_blocks(A: FpMatrix, cuts: Sequence[int], anti: bool) -> tuple[list, FpMatrix, FpMatrix]:
+    """`_column_reduce` on A's column blocks between consecutive cuts, in order,
+    with g starting as the identity: each block's pivot rows, M = A @ g and g."""
+    p, n, e = A.p, A.rows, A.cols
+    cols = [list(column) for column in zip(*A.entries)]
     gcols = [[1 if i == j else 0 for i in range(e)] for j in range(e)]
-    pivots = _column_reduce(p, matrix.rows, cols, gcols, 0, e, anti)
-    return pivots, _from_columns(p, cols, matrix.rows), _from_columns(p, gcols, e)
+    blocks = [_column_reduce(p, n, cols, gcols, a, b, anti) for a, b in zip(cuts, cuts[1:])]
+    reduced = tuple(zip(*cols)) if cols else ((),) * n
+    return blocks, FpMatrix._wrap(p, reduced), FpMatrix._wrap(p, tuple(zip(*gcols)))
 
 
 def _column_reduce(
@@ -235,10 +236,6 @@ def _column_reduce(
         gcols[start:stop] = gcols[start:stop][::-1]
         pivots.reverse()
     return tuple(pivots)
-
-
-def _from_columns(p: int, columns: list[list[int]], nrows: int) -> FpMatrix:
-    return FpMatrix._wrap(p, tuple(zip(*columns)) if columns else ((),) * nrows)
 
 
 def is_parabolic_member(g: FpMatrix, shape: FlagShape) -> bool:
@@ -390,8 +387,8 @@ class CellForm:
         """
         block_of = {i: m for m, block in enumerate(self.sigma.blocks) for i in block}
         pivots = [v for block in self.sigma.blocks for v in block]
-        for j, v in enumerate(pivots):
-            for i, x in enumerate(self.matrix.column(j), start=1):
+        for i, row in enumerate(self.matrix.entries, start=1):
+            for v, x in zip(pivots, row):
                 if i == v:
                     if x != 1:
                         return False
@@ -405,22 +402,18 @@ def cell_form(
 ) -> tuple[OrderedSetPartition, CellForm, FpMatrix]:
     """The unique normal form in the coset of A.
 
-    One column elimination on A's columns, `_column_reduce` block by block,
-    with g starting as the identity and taking every column operation.  Each
-    pivot row a block claims is cleared from the later blocks' columns as the
-    pivot is found, so each block is reduced with the earlier blocks' rows
-    already zero, and a singular A leaves some block short of pivots.
-    Returns (sigma, form, g) with form.matrix = A @ g and g block-upper-triangular.
+    `_reduce_blocks` on the shape's column blocks.  Each pivot row a block
+    claims is cleared from the later blocks' columns as the pivot is found, so
+    each block is reduced with the earlier blocks' rows already zero, and a
+    singular A leaves some block short of pivots.  Returns (sigma, form, g)
+    with form.matrix = A @ g and g block-upper-triangular.
     """
     n = shape.n
     if A.rows != n or A.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
-    p, cuts = A.p, shape.cuts
-    cols = [list(column) for column in zip(*A.entries)]
-    gcols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    blocks = [_column_reduce(p, n, cols, gcols, a, b, anti) for a, b in zip(cuts, cuts[1:])]
+    blocks, reduced, g = _reduce_blocks(A, shape.cuts, anti)
     sigma = OrderedSetPartition(shape, blocks)
-    return sigma, CellForm(sigma, _from_columns(p, cols, n), anti), _from_columns(p, gcols, n)
+    return sigma, CellForm(sigma, reduced, anti), g
 
 
 def cell_sum_poly(shape: FlagShape, anti: bool = False, cap: int = DEFAULT_CAP) -> IntPoly:

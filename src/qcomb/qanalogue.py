@@ -48,9 +48,12 @@ class FlagShape:
     d: tuple[int, ...]
 
     def __init__(self, n: int, d: tuple[int, ...] | list[int] = ()):
-        if n < 1:
-            raise ValidationError(f"n must be a positive integer, got {n}")
-        cuts = tuple(int(x) for x in d)
+        cuts = tuple(d)
+        if int(n) != n or n < 1:
+            raise ValidationError(f"n must be a positive integer, got {n!r}")
+        if any(int(x) != x for x in cuts):
+            raise ValidationError(f"cuts must be integers, got {cuts}")
+        n, cuts = int(n), tuple(map(int, cuts))
         prev = 0
         for x in cuts:
             if x <= prev:

@@ -138,7 +138,7 @@ def test_c11_structural_suites(verify_check):
         "bounded-multiset-sums",
         "unit-weight-denumerant",  # binomial coefficients, n <= 6, m <= 30
         "quasipolynomial-differences",
-        "rowsum-recurrence",  # permutation tables, n <= 10
+        "rowsum-recurrence",  # permutation tables, n <= 12
         "full-log-concavity",
     )
 

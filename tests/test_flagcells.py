@@ -78,6 +78,8 @@ def test_matrix_basics():
         FpMatrix(4, [[1]])  # modulus must be prime
     with pytest.raises(ValidationError):
         FpMatrix(2, [[1, 0], [1]])
+    with pytest.raises(ValidationError, match="only square matrices can be inverted"):
+        FpMatrix(2, [[1, 0]]).inverse()
 
 
 def test_rank_and_inverse():
@@ -136,6 +138,33 @@ def _span_rank(m):
 @given(_matrices())
 def test_rank_matches_span_size(m):
     assert m.rank() == _span_rank(m)
+
+
+@st.composite
+def _square_matrices(draw):
+    """Square matrices over F_2, F_3 and F_5; half get a last row that is a
+    multiple of the first, so singular ones are common at every p."""
+    p, n = draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 5))
+    rows = [[draw(st.integers(0, p - 1)) for _ in range(n)] for _ in range(n)]
+    if n and draw(st.booleans()):
+        c = draw(st.integers(0, p - 1))
+        rows[-1] = [c * x for x in rows[0]]
+    return FpMatrix(p, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_matrices())
+def test_inverse_exists_exactly_at_full_rank(m):
+    # rank and inverse read one row elimination; the products check its right half
+    ident = FpMatrix.identity(m.p, m.rows)
+    try:
+        inverse = m.inverse()
+    except ValidationError as error:
+        assert str(error) == "matrix is singular"
+        assert m.rank() < m.rows
+    else:
+        assert m.rank() == m.rows
+        assert m @ inverse == ident and inverse @ m == ident
 
 
 def _assert_canonical(m):

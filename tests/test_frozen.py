@@ -1,7 +1,6 @@
 import pytest
 
 from qcomb import FlagShape, IntPoly, WeightVector
-from qcomb.verification import CheckResult
 
 
 def test_equality_and_hash_follow_the_fields():
@@ -42,13 +41,3 @@ def test_assignment_and_deletion_raise():
     with pytest.raises(AttributeError):
         del shape.d
     assert shape == FlagShape(5, (2, 3))
-
-
-def test_generated_init_takes_positional_and_keyword_fields():
-    result = CheckResult("qanalogue", "x", True, "1 pair", 1, 0.5)
-    assert result == CheckResult(suite="qanalogue", name="x", passed=True, detail="1 pair",
-                                 cases=1, elapsed_s=0.5)
-    assert result == CheckResult("qanalogue", "x", True, elapsed_s=0.5, cases=1, detail="1 pair")
-    assert (result.suite, result.cases, result.elapsed_s) == ("qanalogue", 1, 0.5)
-    with pytest.raises(AttributeError):
-        result.passed = False

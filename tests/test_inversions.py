@@ -13,7 +13,6 @@ from qcomb import (
     ValidationError,
     all_shapes,
     enumerate_words,
-    factor_product,
     full_mahonian,
     inv_bounds,
     inversion_count,
@@ -106,15 +105,6 @@ def test_full_mahonian_examples():
     assert full_mahonian(10).value(12) == 47043
 
 
-def test_full_mahonian_symmetry():
-    # full_mahonian mirrors its lower half, so the palindrome is checked on
-    # the full-degree expansion [n]! / (1 - t)^n
-    for n in range(1, 13):
-        full = factor_product(range(1, n + 1), (1,) * n, n * (n - 1) // 2)
-        assert full == full[::-1]
-        assert full_mahonian(n).counts == tuple(full)
-
-
 def test_refinement_example():
     shape = FlagShape(3, (2,))
     refined = FlagShape(3, (1, 2))
@@ -153,19 +143,3 @@ def test_log_concavity_scan():
     table = mahonian_table(FlagShape(7, (2, 4)))
     assert log_concavity_scan(table.counts) == [1, 3, 13, 15]
     assert log_concavity_scan((4, 4, 4, 4)) == []
-
-
-def test_expected_inversions_of_uniform_word():
-    # mean of the distribution is nu/2, by symmetry of the table
-    for shape in [FlagShape(5, (2,)), FlagShape(6, (1, 4))]:
-        table = mahonian_table(shape)
-        mean = Fraction(sum(k * c for k, c in enumerate(table.counts)), sum(table.counts))
-        assert mean == Fraction(shape.nu, 2)
-
-
-def test_total_count_matches_multinomial():
-    for n in range(1, 8):
-        for shape in all_shapes(n):
-            assert sum(mahonian_table(shape).counts) == math.factorial(n) // math.prod(
-                math.factorial(e) for e in shape.block_sizes
-            )

@@ -95,6 +95,12 @@ def test_shape_validation():
         FlagShape(3, (1, 3))  # final cut equal to n must be dropped by the caller
     with pytest.raises(ValidationError):
         FlagShape(3, (0, 1))
+    with pytest.raises(ValidationError, match="positive integer"):
+        FlagShape(3.5, (1,))  # was accepted with nu = 2.0
+    with pytest.raises(ValidationError, match="integers"):
+        FlagShape(4, (1.5,))  # was truncated to d = (1,)
+    shape = FlagShape(4.0, (1.0, 2))
+    assert shape == FlagShape(4, (1, 2)) and type(shape.n) is int and type(shape.d[0]) is int
 
 
 def test_shape_derived_quantities():
