@@ -96,9 +96,9 @@ def test_shape_validation():
     with pytest.raises(ValidationError):
         FlagShape(3, (0, 1))
     with pytest.raises(ValidationError, match="positive integer"):
-        FlagShape(3.5, (1,))  # was accepted with nu = 2.0
+        FlagShape(3.5, (1,))
     with pytest.raises(ValidationError, match="integers"):
-        FlagShape(4, (1.5,))  # was truncated to d = (1,)
+        FlagShape(4, (1.5,))
     shape = FlagShape(4.0, (1.0, 2))
     assert shape == FlagShape(4, (1, 2)) and type(shape.n) is int and type(shape.d[0]) is int
 
