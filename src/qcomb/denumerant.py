@@ -42,13 +42,13 @@ class WeightVector:
     weights: tuple[int, ...]
 
     def __init__(self, weights: Sequence[int]):
-        data = tuple(int(w) for w in weights)
+        data = tuple(weights)
         if not data:
             raise ValidationError("weight vector must be nonempty")
         for w in data:
-            if w < 1:
+            if int(w) != w or w < 1:
                 raise ValidationError(f"weights must be positive integers, got {w}")
-        object.__setattr__(self, "weights", data)
+        object.__setattr__(self, "weights", tuple(map(int, data)))
 
     @classmethod
     def ones(cls, n: int) -> WeightVector:

@@ -50,11 +50,11 @@ class MahonianTable:
     counts: tuple[int, ...]
 
     def __init__(self, shape: FlagShape, counts: Sequence[int]):
-        data = tuple(int(c) for c in counts)
+        data = tuple(map(int, counts))
         nu = shape.nu
         if len(data) != nu + 1:
             raise ValidationError(f"table must cover 0..{nu}, got {len(data)} entries")
-        if any(c < 1 for c in data):
+        if min(data) < 1:
             raise ValidationError("inversion counts must be positive across 0..nu")
         if data != data[::-1]:
             raise ValidationError("inversion table must be symmetric")

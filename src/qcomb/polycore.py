@@ -5,7 +5,13 @@ constant term first; ``IntPoly((1, 0, 2))`` is ``1 + 2x^2``.  A truncated
 series is the list of its ``order + 1`` coefficients through t^order, as
 `factor_product` returns it; nothing past the order is computed.
 `factor_product` expands truncated products of factors (1 - t^k)^{+-1}, the
-kernel behind every closed form in the package.  Many of those products are
+kernel behind every closed form in the package.  Its numerators run on a
+packed series: t becomes 2^w, the series one integer mod 2^(w(order+1)),
+and (1 - t^a) a shift, a subtraction and a mask.  Each factor at most
+doubles the largest |coefficient|, so a width of bits(max |c|) plus the
+number of factors plus 2 keeps them exact; the series is unpacked after
+each batch of `NUMERATOR_BATCH` factors, and the denominators take running
+sums on the list.  Many of those products are
 palindromic (or antipalindromic) polynomials: `_mirrored_prefix` expands such
 a product only through half its degree and reads the upper half off the lower
 one.
@@ -26,6 +32,11 @@ from .errors import ValidationError, frozen
 # attainable degree, so degree comparisons never need a special case.
 ZERO_DEGREE = -1
 
+# Numerator factors `factor_product` applies per packing of its series: the
+# packed width grows by one bit per factor, and decoding after each batch
+# starts the next one from the real largest coefficient.
+NUMERATOR_BATCH = 128
+
 
 @frozen
 class IntPoly:
@@ -40,7 +51,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        trimmed = [int(c) for c in coeffs]
+        trimmed = list(map(int, coeffs))
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))
@@ -161,10 +172,11 @@ class TruncatedSeries:
 def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:
     """Coefficients through t^order of prod_{a in num} (1 - t^a) / prod_{b in den} (1 - t^b).
 
-    Multiplying by (1 - t^a) subtracts the series shifted by a; dividing by
-    (1 - t^b) takes running sums along each residue class mod b.  Each factor
-    costs O(order) exact integer additions; a factor with a or b past the order
-    cannot reach t^order and is skipped.
+    The numerators are applied to a packed series (`_times_numerators`), in
+    batches of `NUMERATOR_BATCH`: each factor costs a shift, a subtraction
+    and a mask of one integer, not O(order) Python-level list operations.
+    Dividing by (1 - t^b) takes running sums along each residue class mod b.
+    A factor with a or b past the order cannot reach t^order and is skipped.
 
     >>> factor_product((2, 3), (1, 1), 6)
     [1, 2, 2, 1, 0, 0, 0]
@@ -174,15 +186,46 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
         raise ValidationError("truncation order must be nonnegative")
     if min(num + den, default=1) < 1:
         raise ValidationError(f"factor exponents must be positive integers, got {min(num + den)}")
+    # The list is allocated before any shift, so a row too long to hold ends
+    # in MemoryError here, never in an OverflowError from a shift count.
     out = [1] + [0] * order
-    for a in num:
-        if a <= order:
-            out[a:] = map(operator.sub, out[a:], out[:-a])
+    num = [a for a in num if a <= order]
+    for start in range(0, len(num), NUMERATOR_BATCH):
+        out = _times_numerators(out, num[start : start + NUMERATOR_BATCH], from_one=start == 0)
     for b in den:
         if b <= order:
             for r in range(b):
                 out[r::b] = itertools.accumulate(out[r::b])
     return out
+
+
+def _times_numerators(series: list[int], exponents: list[int], from_one: bool) -> list[int]:
+    """`series` times prod_{a in exponents} (1 - t^a), through the same order.
+
+    t is mapped to X = 2^w and the series held as one integer mod X^(order+1),
+    so (1 - t^a) is P - (P << a*w), masked.  A factor at most doubles the
+    largest |coefficient|, so w = bits(max |c|) + len(exponents) + 2 (rounded
+    up to whole bytes) keeps every result inside (-2^(w-1), 2^(w-1)) and the
+    arithmetic exact.  The digits are signed: adding 2^(w-1) to each (the
+    integer `bias`) makes them the bytes of one nonnegative integer.  With
+    `from_one` the series is 1, so nothing needs encoding.
+    """
+    n = len(series)
+    size = (max(map(abs, series)).bit_length() + len(exponents) + 9) // 8
+    width = 8 * size
+    half = 1 << (width - 1)
+    bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
+    mask = (1 << (width * n)) - 1
+    if from_one:
+        p = 1
+    else:
+        digits = b"".join([(c + half).to_bytes(size, "little") for c in series])
+        p = int.from_bytes(digits, "little") - bias
+    for a in exponents:
+        p = (p - (p << (a * width))) & mask
+    digits = ((p + bias) & mask).to_bytes(size * n, "little")
+    starts = range(0, size * n, size)
+    return [int.from_bytes(digits[i : i + size], "little") - half for i in starts]
 
 
 def _mirrored_prefix(
@@ -203,5 +246,6 @@ def _mirrored_prefix(
     if order <= half:
         return factor_product(num, den, order)
     low = factor_product(num, den, half)
-    out = low + [sign * c for c in reversed(low[: degree - half])]
+    mirror = low[: degree - half][::-1]
+    out = low + (mirror if sign == 1 else list(map(operator.neg, mirror)))
     return out[: order + 1] + [0] * (order - degree)

@@ -33,6 +33,9 @@ def test_weight_vector_validation():
         WeightVector((1, 0))
     with pytest.raises(ValidationError):
         WeightVector(())
+    with pytest.raises(ValidationError):
+        WeightVector((1.5, 2))  # not truncated to (1, 2)
+    assert WeightVector((2.0, 3)).weights == (2, 3)
 
 
 def test_epsilon_weights():

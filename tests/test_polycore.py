@@ -1,5 +1,7 @@
+import math
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qcomb import (
     IntPoly,
@@ -9,7 +11,7 @@ from qcomb import (
     factor_product,
     q_multinomial_prefix,
 )
-from qcomb.polycore import _mirrored_prefix
+from qcomb.polycore import NUMERATOR_BATCH, _mirrored_prefix
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 polys = coeff_lists.map(IntPoly)
@@ -97,6 +99,37 @@ def test_factor_product_matches_intpoly_expansion(num, den, order):
     for b in den:  # 1/(1 - t^b) = sum_j t^{jb}, cut at the order
         expected = expected * IntPoly(1 if m % b == 0 else 0 for m in range(order + 1))
     assert factor_product(num, den, order) == [expected.coefficient(m) for m in range(order + 1)]
+
+
+def _truncated(poly, order):
+    return IntPoly(poly.coeffs[: order + 1])
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=0, max_value=300).flatmap(
+        lambda k: st.lists(st.integers(min_value=1, max_value=12), min_size=k, max_size=k)
+    ),
+    st.lists(st.integers(min_value=1, max_value=12), max_size=4),
+    st.integers(min_value=0, max_value=40),
+)
+def test_factor_product_packs_many_numerators(num, den, order):
+    # up to 300 numerators: several packed batches, each wider than the last
+    expected = IntPoly.one()
+    for a in num:
+        expected = _truncated(expected * (IntPoly.one() - IntPoly.monomial(1, a)), order)
+    for b in den:  # 1/(1 - t^b) = sum_j t^{jb}, cut at the order
+        geometric = IntPoly(1 if m % b == 0 else 0 for m in range(order + 1))
+        expected = _truncated(expected * geometric, order)
+    assert factor_product(num, den, order) == [expected.coefficient(m) for m in range(order + 1)]
+
+
+def test_factor_product_across_batch_boundaries():
+    for k in (NUMERATOR_BATCH - 1, NUMERATOR_BATCH, NUMERATOR_BATCH + 1, 2 * NUMERATOR_BATCH + 1):
+        order = k + 3
+        row = factor_product([1] * k, (), order)  # (1 - t)^k: the widest digits there are
+        assert row == [(-1) ** j * math.comb(k, j) for j in range(order + 1)]
+        assert factor_product([1] * k, [1] * k, order) == [1] + [0] * order
 
 
 def test_factor_product_edge_cases():
