@@ -175,6 +175,7 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
     The numerators are applied to a packed series (`_times_numerators`), in
     batches of `NUMERATOR_BATCH`: each factor costs a shift, a subtraction
     and a mask of one integer, not O(order) Python-level list operations.
+    A digit width of bits(max |c|) + batch size + 2 keeps them exact.
     Dividing by (1 - t^b) takes running sums along each residue class mod b.
     A factor with a or b past the order cannot reach t^order and is skipped.
 
