@@ -10,7 +10,10 @@ psi_n(r) is computable four ways (signed subset sums, direct expansion of
 f_n, Euler's pentagonal shortcut for r <= n, and exponentiating the
 logarithmic series built from restricted divisor sums); all four are exposed
 and cross-validated.  The direct expansion reads the upper half of f_n off
-the lower one, since psi_n(n(n+1)/2 - r) = (-1)^n psi_n(r).
+the lower one, since psi_n(n(n+1)/2 - r) = (-1)^n psi_n(r).  The psi-weighted
+binomial sums behind `inv_bounds` call `math.comb` twice, once for the plain
+and once for the eta-stretched binomials, and step each to the next term by
+C(N-1, r) = C(N, r) (N-r) / N, an exact small multiply and divide.
 
 The module exports results, not checks.  The signed-subset identity (f_r
 times the series of D_w is the sum over subsets T of [r] of (-1)^|T| D_w
@@ -202,15 +205,24 @@ def _psi_binomial_sums(n: int, k: int, eta: int) -> tuple[int, int]:
     # sum_{i <= k} psi_n(i) C(n-1+k-i, n-1) over the nonzero psi_n(i), twice: with
     # the binomials of the negative psi_n(i), then of the positive ones, stretched
     # to C(n-1+eta+k-i, n-1).  At eta = 0 both count permutations with k inversions.
+    # Each binomial comes from the one before by C(N-1, r) = C(N, r) (N-r) / N,
+    # r = n - 1, one exact small multiply and divide per i, zero psi_n(i) or not.
     if k < 0:
         raise ValidationError("inversion count must be nonnegative")
+    r = n - 1
+    plain = math.comb(r + k, r)
+    stretched = math.comb(r + eta + k, r)
     first = second = 0
     for i, c in enumerate(psi_prefix(n, min(k, n * (n + 1) // 2))):
-        if c:
-            plain = math.comb(n - 1 + k - i, n - 1)
-            stretched = math.comb(n - 1 + eta + k - i, n - 1) if eta else plain
-            first += c * (plain if c > 0 else stretched)
-            second += c * (stretched if c > 0 else plain)
+        if i:  # from N = r + k - i + 1 (plain) and N + eta (stretched)
+            plain = plain * (k - i + 1) // (r + k - i + 1)
+            stretched = stretched * (eta + k - i + 1) // (r + eta + k - i + 1)
+        if c > 0:
+            first += c * plain
+            second += c * stretched
+        elif c:
+            first += c * stretched
+            second += c * plain
     return first, second
 
 

@@ -5,16 +5,20 @@ constant term first; ``IntPoly((1, 0, 2))`` is ``1 + 2x^2``.  A truncated
 series is the list of its ``order + 1`` coefficients through t^order, as
 `factor_product` returns it; nothing past the order is computed.
 `factor_product` expands truncated products of factors (1 - t^k)^{+-1}, the
-kernel behind every closed form in the package.  Its numerators run on a
-packed series: t becomes 2^w, the series one integer mod 2^(w(order+1)),
-and (1 - t^a) a shift, a subtraction and a mask.  Each factor at most
-doubles the largest |coefficient|, so a width of bits(max |c|) plus the
-number of factors plus 2 keeps them exact; the series is unpacked after
-each batch of `NUMERATOR_BATCH` factors, and the denominators take running
-sums on the list.  Many of those products are
-palindromic (or antipalindromic) polynomials: `_mirrored_prefix` expands such
-a product only through half its degree and reads the upper half off the lower
-one.
+kernel behind every closed form in the package.  It first pairs each
+denominator b with an unused numerator a = k*b, k <= 4, by the identity
+(1 - t^(kb)) / (1 - t^b) = 1 + t^b + ... + t^((k-1)b): k = 1 cancels the
+pair, and k = 2..4 leaves a factor of k terms.  The numerators and those
+factors run on a packed series: t becomes 2^w, the series one integer mod
+2^(w(order+1)), and each factor a few shifts, additions and a mask.  A
+factor whose coefficients have absolute sum k grows the largest
+|coefficient| by at most ceil(log2 k) bits, so a width of bits(max |c|)
+plus the summed growth plus 2 keeps them exact; the series is unpacked after
+each batch of at most `PACKED_BATCH_BITS` bits of growth, and the unpaired
+denominators take running sums on the list.  Many of those products are
+palindromic (or antipalindromic) polynomials: `_mirrored_prefix` expands
+such a product only through half its degree and reads the upper half off
+the lower one.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely between threads.
@@ -22,6 +26,7 @@ so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from typing import Iterable
@@ -32,10 +37,10 @@ from .errors import ValidationError, frozen
 # attainable degree, so degree comparisons never need a special case.
 ZERO_DEGREE = -1
 
-# Numerator factors `factor_product` applies per packing of its series: the
-# packed width grows by one bit per factor, and decoding after each batch
-# starts the next one from the real largest coefficient.
-NUMERATOR_BATCH = 128
+# Growth in bits of the largest |coefficient| that `factor_product` allows
+# per packing of its series: the packed width grows by it, and decoding after
+# each batch starts the next one from the real largest coefficient.
+PACKED_BATCH_BITS = 128
 
 
 @frozen
@@ -172,12 +177,19 @@ class TruncatedSeries:
 def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:
     """Coefficients through t^order of prod_{a in num} (1 - t^a) / prod_{b in den} (1 - t^b).
 
-    The numerators are applied to a packed series (`_times_numerators`), in
-    batches of `NUMERATOR_BATCH`: each factor costs a shift, a subtraction
-    and a mask of one integer, not O(order) Python-level list operations.
-    A digit width of bits(max |c|) + batch size + 2 keeps them exact.
-    Dividing by (1 - t^b) takes running sums along each residue class mod b.
-    A factor with a or b past the order cannot reach t^order and is skipped.
+    First each denominator b is paired with an unused numerator a = k*b,
+    k <= 4 (`_pair`): (1 - t^(kb)) / (1 - t^b) = 1 + t^b + ... + t^((k-1)b),
+    so k = 1 cancels the pair and k = 2..4 leaves one factor with k terms.
+    The numerators and those factors are applied to a packed series
+    (`_times_packed`), each at the cost of a few shifts, additions and a mask
+    of one integer, not O(order) Python-level list operations.  A factor
+    whose coefficients have absolute sum k grows the largest |coefficient|
+    by at most ceil(log2 k) bits (1 for 1 - t^a and 1 + t^b, 2 for three and
+    four terms); the factors go in batches whose growth adds up to at most
+    `PACKED_BATCH_BITS`, and the digit width of each batch is bits(max |c|)
+    + its growth + 2, which keeps them exact.  Dividing by an unpaired
+    (1 - t^b) takes running sums along each residue class mod b.  A factor
+    with a or b past the order cannot reach t^order and is skipped.
 
     >>> factor_product((2, 3), (1, 1), 6)
     [1, 2, 2, 1, 0, 0, 0]
@@ -191,28 +203,70 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
     # in MemoryError here, never in an OverflowError from a shift count.
     out = [1] + [0] * order
     num = [a for a in num if a <= order]
-    for start in range(0, len(num), NUMERATOR_BATCH):
-        out = _times_numerators(out, num[start : start + NUMERATOR_BATCH], from_one=start == 0)
+    den = [b for b in den if b <= order]
+    if num and den:  # a dict per call is a cost to the many tiny calls
+        packed, den = _pair(num, den)
+    else:
+        packed = [(a, 0) for a in num]
+    # batch ends chosen greedily so that the growth of each batch, the
+    # difference of two running totals, stays within PACKED_BATCH_BITS
+    growth = list(itertools.accumulate(1 + (k > 2) for _, k in packed))
+    start = done = 0
+    while start < len(packed):
+        end = bisect.bisect_right(growth, done + PACKED_BATCH_BITS)
+        out = _times_packed(out, packed[start:end], growth[end - 1] - done, from_one=start == 0)
+        start, done = end, growth[end - 1]
     for b in den:
-        if b <= order:
+        if b == 1:
+            out = list(itertools.accumulate(out))
+        else:
             for r in range(b):
                 out[r::b] = itertools.accumulate(out[r::b])
     return out
 
 
-def _times_numerators(series: list[int], exponents: list[int], from_one: bool) -> list[int]:
-    """`series` times prod_{a in exponents} (1 - t^a), through the same order.
+def _pair(num: list[int], den: list[int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Match each denominator b, largest first, to an unused numerator k*b,
+    smallest k in 1..4 first.
+
+    Returns the factors for `_times_packed`: (a, 0) for each unmatched
+    numerator (1 - t^a) and (b, k) for each k >= 2 pair, whose quotient is
+    1 + t^b + ... + t^((k-1)b); a k = 1 pair cancels.  Also returns the
+    unmatched denominators.
+    """
+    free: dict[int, int] = {}
+    for a in num:
+        free[a] = free.get(a, 0) + 1
+    paired, rest = [], []
+    for b in sorted(den, reverse=True):
+        for k in (1, 2, 3, 4):
+            if free.get(k * b):
+                free[k * b] -= 1
+                if k > 1:
+                    paired.append((b, k))
+                break
+        else:
+            rest.append(b)
+    return [(a, 0) for a, count in free.items() for _ in range(count)] + paired, rest
+
+
+def _times_packed(
+    series: list[int], factors: list[tuple[int, int]], growth: int, from_one: bool
+) -> list[int]:
+    """`series` times the `_pair` factors, through the same order.
 
     t is mapped to X = 2^w and the series held as one integer mod X^(order+1),
-    so (1 - t^a) is P - (P << a*w), masked.  A factor at most doubles the
-    largest |coefficient|, so w = bits(max |c|) + len(exponents) + 2 (rounded
-    up to whole bytes) keeps every result inside (-2^(w-1), 2^(w-1)) and the
-    arithmetic exact.  The digits are signed: adding 2^(w-1) to each (the
-    integer `bias`) makes them the bytes of one nonnegative integer.  With
-    `from_one` the series is 1, so nothing needs encoding.
+    so 1 - t^a is P - (P << a*w), masked, and 1 + t^b + ... + t^((k-1)b)
+    sums k shifted copies (four as two steps of two).  Together the factors
+    grow the largest |coefficient| by at most `growth` bits, so w =
+    bits(max |c|) + growth + 2 (rounded up to whole bytes) keeps every result
+    inside (-2^(w-1), 2^(w-1)) and the arithmetic exact.  The digits are
+    signed: adding 2^(w-1) to each (the integer `bias`) makes them the bytes
+    of one nonnegative integer.  With `from_one` the series is 1, so nothing
+    needs encoding.
     """
     n = len(series)
-    size = (max(map(abs, series)).bit_length() + len(exponents) + 9) // 8
+    size = (max(map(abs, series)).bit_length() + growth + 9) // 8
     width = 8 * size
     half = 1 << (width - 1)
     bias = int.from_bytes(half.to_bytes(size, "little") * n, "little")
@@ -222,8 +276,18 @@ def _times_numerators(series: list[int], exponents: list[int], from_one: bool) -
     else:
         digits = b"".join([(c + half).to_bytes(size, "little") for c in series])
         p = int.from_bytes(digits, "little") - bias
-    for a in exponents:
-        p = (p - (p << (a * width))) & mask
+    for s, k in factors:
+        shift = s * width
+        if k == 0:
+            p = (p - (p << shift)) & mask
+        elif k == 2:
+            p = (p + (p << shift)) & mask
+        elif k == 3:
+            q = p << shift
+            p = (p + q + (q << shift)) & mask
+        else:
+            p += p << shift
+            p = (p + (p << 2 * shift)) & mask
     digits = ((p + bias) & mask).to_bytes(size * n, "little")
     starts = range(0, size * n, size)
     return [int.from_bytes(digits[i : i + size], "little") - half for i in starts]

@@ -6,13 +6,15 @@ factors (1 - x^k)^{+-1}, expanded by the kernel `factor_product`:
     qbinom(n, e) = prod_{i=n-e+1}^{n} (1 - x^i) / prod_{j=1}^{e} (1 - x^j)
 
 The division is exact, so every coefficient is a nonnegative integer.  The
-largest block's factorial is cancelled before expanding: the q-multinomial
-[n]! / prod_i [e_i]! starts its numerator at e_max + 1 and divides by the
-other blocks only, and qbinom is its two-block case, with e <= n - e.  The
-row is a palindrome of degree nu, so only its lower half is expanded and the
-upper half is read off it (`polycore._mirrored_prefix`).  `q_multinomial_at`
-evaluates a q-multinomial at any integer without the row: by the same
-cancelled product, or at q = 1 and q = -1 by a product of binomials.
+q-multinomial [n]! / prod_i [e_i]! hands the kernel all n numerator factors
+and every block's denominators; the kernel pairs each denominator with a
+numerator factor it divides, which cancels the largest block's [e_max]!
+against the first e_max factors of [n]!.  qbinom is the two-block case, with
+e <= n - e.  The row is a palindrome of degree nu, so only its lower half is
+expanded and the upper half is read off it (`polycore._mirrored_prefix`).
+`q_multinomial_at` evaluates a q-multinomial at any integer without the row:
+by a product with the largest block cancelled, or at q = 1 and q = -1 by a
+product of binomials.
 `q_binomial_at` is its two-block case too, and `FlagShape.multinomial` its
 value at q = 1.  The q-factorial is kept on plain `IntPoly` products as the
 oracle the kernel is checked against, and `verify` compares both with the
@@ -175,14 +177,14 @@ def q_multinomial(shape: FlagShape) -> IntPoly:
 def q_multinomial_prefix(shape: FlagShape, order: int) -> list[int]:
     """Coefficients of the q-multinomial of `shape` through t^order.
 
-    The largest block's [e_max]! cancels the first e_max factors of [n]!, so
-    the numerator runs over e_max + 1..n and the denominator over the other
-    blocks only; factors past the order are left out.  The row is a palindrome
-    of degree nu: past t^(nu // 2) it is mirrored, not expanded.
+    The numerator runs over 1..n and the denominator over every block;
+    `factor_product` pairs them, so the largest block's [e_max]! cancels the
+    first e_max factors of [n]! there.  Factors past the order are left out.
+    The row is a palindrome of degree nu: past t^(nu // 2) it is mirrored, not
+    expanded.
     """
-    *others, largest = sorted(shape.block_sizes)
-    den = [j for e in others for j in range(1, min(e, order) + 1)]
-    return _mirrored_prefix(range(largest + 1, min(shape.n, order) + 1), den, shape.nu, order)
+    den = [j for e in shape.block_sizes for j in range(1, min(e, order) + 1)]
+    return _mirrored_prefix(range(1, min(shape.n, order) + 1), den, shape.nu, order)
 
 
 @lru_cache(maxsize=None)

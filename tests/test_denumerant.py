@@ -5,6 +5,7 @@ import pytest
 
 from qcomb import (
     FlagShape,
+    PsiTable,
     ResourceLimitError,
     ValidationError,
     WeightVector,
@@ -18,7 +19,7 @@ from qcomb import (
     psi,
     restricted_divisor_sum,
 )
-from qcomb.denumerant import _subset_signed_histogram
+from qcomb.denumerant import _psi_binomial_sums, _subset_signed_histogram
 
 
 def test_denumerant_examples():
@@ -156,6 +157,25 @@ def test_mahonian_via_denumerant_sweep():
 def test_full_mahonian_via_binomials():
     assert full_mahonian_via_binomials(3, 1) == 2
     assert full_mahonian_via_binomials(10, 12) == 47043
+
+
+def test_psi_binomial_sums_match_direct_binomials():
+    # the running binomials against one math.comb per term: n = 1 (where N
+    # falls to k - i), k = 0 and k past the top degree, eta = 0 and eta > 0,
+    # and from n = 3 on zero psi_n(i) between nonzero ones
+    for n in range(1, 9):
+        top = n * (n + 1) // 2
+        values = PsiTable.for_n(n).values
+        for eta in (0, 1, 7):
+            for k in range(top + 4):
+                first = second = 0
+                for i in range(min(k, top) + 1):
+                    plain = math.comb(n - 1 + k - i, n - 1)
+                    stretched = math.comb(n - 1 + eta + k - i, n - 1)
+                    c = values[i]
+                    first += c * (plain if c > 0 else stretched)
+                    second += c * (stretched if c > 0 else plain)
+                assert _psi_binomial_sums(n, k, eta) == (first, second)
 
 
 def test_denumerant_bounds_examples():

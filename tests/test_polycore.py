@@ -11,7 +11,7 @@ from qcomb import (
     factor_product,
     q_multinomial_prefix,
 )
-from qcomb.polycore import NUMERATOR_BATCH, _mirrored_prefix
+from qcomb.polycore import PACKED_BATCH_BITS, _mirrored_prefix
 
 coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), max_size=8)
 polys = coeff_lists.map(IntPoly)
@@ -87,22 +87,36 @@ def test_series_truncation_consistency(weights, order):
     assert full[0] == 1
 
 
+def _truncated(poly, order):
+    return IntPoly(poly.coeffs[: order + 1])
+
+
+def _intpoly_route(num, den, order):
+    # the same product on IntPoly, cut at the order after every factor
+    expected = IntPoly.one()
+    for a in num:
+        expected = _truncated(expected * (IntPoly.one() - IntPoly.monomial(1, a)), order)
+    for b in den:  # 1/(1 - t^b) = sum_j t^{jb}, cut at the order
+        geometric = IntPoly(1 if m % b == 0 else 0 for m in range(order + 1))
+        expected = _truncated(expected * geometric, order)
+    return [expected.coefficient(m) for m in range(order + 1)]
+
+
+def _power(poly, k, order):
+    # poly^k by repeated IntPoly products, cut at the order
+    result = IntPoly.one()
+    for _ in range(k):
+        result = _truncated(result * poly, order)
+    return [result.coefficient(m) for m in range(order + 1)]
+
+
 @given(
     st.lists(st.integers(min_value=1, max_value=9), max_size=5),
     st.lists(st.integers(min_value=1, max_value=9), max_size=5),
     st.integers(min_value=0, max_value=30),
 )
 def test_factor_product_matches_intpoly_expansion(num, den, order):
-    expected = IntPoly.one()
-    for a in num:
-        expected = expected * (IntPoly.one() - IntPoly.monomial(1, a))
-    for b in den:  # 1/(1 - t^b) = sum_j t^{jb}, cut at the order
-        expected = expected * IntPoly(1 if m % b == 0 else 0 for m in range(order + 1))
-    assert factor_product(num, den, order) == [expected.coefficient(m) for m in range(order + 1)]
-
-
-def _truncated(poly, order):
-    return IntPoly(poly.coeffs[: order + 1])
+    assert factor_product(num, den, order) == _intpoly_route(num, den, order)
 
 
 @settings(deadline=None)
@@ -115,21 +129,52 @@ def _truncated(poly, order):
 )
 def test_factor_product_packs_many_numerators(num, den, order):
     # up to 300 numerators: several packed batches, each wider than the last
-    expected = IntPoly.one()
-    for a in num:
-        expected = _truncated(expected * (IntPoly.one() - IntPoly.monomial(1, a)), order)
-    for b in den:  # 1/(1 - t^b) = sum_j t^{jb}, cut at the order
-        geometric = IntPoly(1 if m % b == 0 else 0 for m in range(order + 1))
-        expected = _truncated(expected * geometric, order)
-    assert factor_product(num, den, order) == [expected.coefficient(m) for m in range(order + 1)]
+    assert factor_product(num, den, order) == _intpoly_route(num, den, order)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(min_value=1, max_value=10), st.integers(min_value=1, max_value=6)),
+        max_size=16,
+    ),
+    st.lists(st.integers(min_value=1, max_value=30), max_size=6),
+    st.integers(min_value=0, max_value=60),
+)
+def test_factor_product_pairs_denominators(pairs, extras, order):
+    # each denominator b comes with a numerator k*b, k = 1..6 (5 and 6 stay
+    # unpaired), plus free numerators that may match a denominator too
+    num = [k * b for b, k in pairs] + extras
+    den = [b for b, _ in pairs]
+    assert factor_product(num, den, order) == _intpoly_route(num, den, order)
 
 
 def test_factor_product_across_batch_boundaries():
-    for k in (NUMERATOR_BATCH - 1, NUMERATOR_BATCH, NUMERATOR_BATCH + 1, 2 * NUMERATOR_BATCH + 1):
+    bits = PACKED_BATCH_BITS  # 1 - t^a grows the digits by 1 bit
+    for k in (bits - 1, bits, bits + 1, 2 * bits + 1):
         order = k + 3
         row = factor_product([1] * k, (), order)  # (1 - t)^k: the widest digits there are
         assert row == [(-1) ** j * math.comb(k, j) for j in range(order + 1)]
-        assert factor_product([1] * k, [1] * k, order) == [1] + [0] * order
+        assert factor_product([1] * k, [1] * k, order) == [1] + [0] * order  # every pair cancels
+        # no numerator is a small multiple of 1, so every denominator stays on the list
+        assert factor_product([7] * k, [1] * k, order) == _power(IntPoly((1,) * 7), k, order)
+
+
+def test_factor_product_paired_factors():
+    # 3- and 4-term factors grow the digits by 2 bits each, so 64 fill a batch
+    for k in (63, 64, 65):
+        order = 3 * k + 2
+        for terms in (3, 4):
+            row = factor_product([terms] * k, [1] * k, order)
+            assert row == _power(IntPoly((1,) * terms), k, order)
+    for b in (1, 3):  # (1 + t^b)^k, 1 bit each
+        for k in (PACKED_BATCH_BITS, PACKED_BATCH_BITS + 1):
+            order = b * k + 2
+            assert factor_product([2 * b] * k, [b] * k, order) == _power(
+                IntPoly.one() + IntPoly.monomial(1, b), k, order
+            )
+    # numerator 2 goes to denominator 2, so denominator 1 stays unpaired
+    assert factor_product([2], [2, 1], 5) == [1] * 6
 
 
 def test_factor_product_edge_cases():
