@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import _mirrored_prefix, factor_product
-from .qanalogue import FlagShape
+from .qanalogue import FlagShape, _ramp
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -104,10 +104,7 @@ def denumerant(w: WeightVector, m: int) -> int:
 
 def epsilon_weights(shape: FlagShape) -> WeightVector:
     """Per-block ramp weights: block of size e contributes 1, 2, ..., e."""
-    weights: list[int] = []
-    for e in shape.block_sizes:
-        weights.extend(range(1, e + 1))
-    return WeightVector(weights)
+    return WeightVector(_ramp(shape, shape.n))
 
 
 def restricted_divisor_sum(n: int, k: int) -> int:
@@ -196,8 +193,7 @@ def mahonian_via_denumerant(shape: FlagShape, k: int) -> int:
     if k > shape.nu:
         return 0
     coeffs = psi_prefix(shape.n, k)
-    # the ramp weights of `epsilon_weights`, less those past t^k, which cannot reach it
-    series = factor_product((), [j for e in shape.block_sizes for j in range(1, min(e, k) + 1)], k)
+    series = factor_product((), _ramp(shape, k), k)  # weights past t^k cannot reach it
     return sum(c * series[k - i] for i, c in enumerate(coeffs))
 
 
@@ -238,11 +234,14 @@ def denumerant_bounds(shape: FlagShape, m: int) -> tuple[Fraction, Fraction]:
 
         binom(n-1+m, n-1)/prod(e_i!) <= D(m) <= binom(n-1+eta+m, n-1)/prod(e_i!)
     """
-    from fractions import Fraction
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    n = shape.n
+    r = shape.n - 1
+    return _over_block_factorials(shape, math.comb(r + m, r), math.comb(r + shape.eta + m, r))
+
+
+def _over_block_factorials(shape: FlagShape, lower: int, upper: int) -> tuple[Fraction, Fraction]:
+    """(lower, upper) / prod(e_i!) over the blocks of `shape`, as exact fractions."""
+    from fractions import Fraction
     divisor = math.prod(math.factorial(e) for e in shape.block_sizes)
-    lower = Fraction(math.comb(n - 1 + m, n - 1), divisor)
-    upper = Fraction(math.comb(n - 1 + shape.eta + m, n - 1), divisor)
-    return lower, upper
+    return Fraction(lower, divisor), Fraction(upper, divisor)

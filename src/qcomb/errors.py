@@ -55,8 +55,9 @@ def frozen(cls):
     """Make `cls` an immutable value class over its annotated fields: equal when
     the fields are, hashed as their tuple, shown as `Name(field=value, ...)`.
     Assigning or deleting raises AttributeError, so each class's own `__init__`
-    sets its fields with `object.__setattr__` (the loops that build words and
-    partitions in bulk store them straight into the instance `__dict__`).
+    sets its fields with `object.__setattr__`.  A trusted build, which skips
+    those checks (the `_wrap`s and the word, partition and theta-word builders),
+    stores them straight into a new instance's `__dict__`.
     """
     names = tuple(cls.__annotations__)
     get = attrgetter(*names)

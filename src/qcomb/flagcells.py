@@ -44,6 +44,8 @@ def _require_prime(p: int) -> None:
     that, a strong-probable-prime test to those twelve bases (deterministic
     Miller-Rabin) is exact for every p < 2^64.
     """
+    if not isinstance(p, int):  # 2.0 == 2 would pass the membership test
+        raise ValidationError(f"modulus must be an integer, got {p!r}")
     if p in _SMALL_PRIMES:
         return
     if p >= 1 << 64:
@@ -79,11 +81,14 @@ class FpMatrix:
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]]):
         _require_prime(p)
-        data = tuple(tuple(int(x) % p for x in row) for row in rows)
+        raw = tuple(map(tuple, rows))
+        data = tuple(tuple(map(int, row)) for row in raw)
+        if data != raw:
+            raise ValidationError(f"matrix entries must be integers, got {raw}")
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValidationError("ragged rows in matrix")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "entries", data)
+        object.__setattr__(self, "entries", tuple(tuple(x % p for x in row) for row in data))
 
     @classmethod
     def _wrap(cls, p: int, entries: tuple[tuple[int, ...], ...]) -> FpMatrix:
@@ -94,8 +99,9 @@ class FpMatrix:
         constructor would find nothing.
         """
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "p", p)
-        object.__setattr__(matrix, "entries", entries)
+        fields = matrix.__dict__
+        fields["p"] = p
+        fields["entries"] = entries
         return matrix
 
     @classmethod
@@ -238,13 +244,17 @@ def _column_reduce(
     return tuple(pivots)
 
 
+def _require_square(A: FpMatrix, n: int) -> None:
+    if A.rows != n or A.cols != n:
+        raise ValidationError(f"expected an {n}x{n} matrix")
+
+
 def is_parabolic_member(g: FpMatrix, shape: FlagShape) -> bool:
     """True iff g is invertible and block-upper-triangular for the shape's
     blocks.  A block-triangular matrix is invertible exactly when its diagonal
     blocks are, so this is a zero test below the diagonal blocks and one rank."""
     n = shape.n
-    if g.rows != n or g.cols != n:
-        raise ValidationError(f"expected an {n}x{n} matrix")
+    _require_square(g, n)
     c, rows = shape.cuts, g.entries
     if any(any(row[:start]) for start, stop in zip(c, c[1:]) for row in rows[start:stop]):
         return False
@@ -259,7 +269,10 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, shape: FlagShape, blocks: Sequence[Sequence[int]]):
-        data = tuple(tuple(map(int, b)) for b in blocks)
+        raw = tuple(map(tuple, blocks))
+        data = tuple(tuple(map(int, b)) for b in raw)
+        if data != raw:
+            raise ValidationError(f"blocks must hold integers, got {raw}")
         sizes = shape.block_sizes
         if len(data) != len(sizes):
             raise ValidationError(f"expected {len(sizes)} blocks, got {len(data)}")
@@ -372,9 +385,7 @@ class CellForm:
     anti: bool
 
     def __init__(self, sigma: OrderedSetPartition, matrix: FpMatrix, anti: bool = False):
-        n = sigma.shape.n
-        if matrix.rows != n or matrix.cols != n:
-            raise ValidationError(f"cell form must be {n}x{n}")
+        _require_square(matrix, sigma.shape.n)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "anti", bool(anti))
@@ -408,9 +419,7 @@ def cell_form(
     singular A leaves some block short of pivots.  Returns (sigma, form, g)
     with form.matrix = A @ g and g block-upper-triangular.
     """
-    n = shape.n
-    if A.rows != n or A.cols != n:
-        raise ValidationError(f"expected an {n}x{n} matrix")
+    _require_square(A, shape.n)
     blocks, reduced, g = _reduce_blocks(A, shape.cuts, anti)
     sigma = OrderedSetPartition(shape, blocks)
     return sigma, CellForm(sigma, reduced, anti), g
@@ -479,17 +488,17 @@ class Flag:
     def _wrap(cls, shape: FlagShape, p: int, bases: tuple[FpMatrix, ...]) -> Flag:
         """A flag from a chain of nested bases over a checked p, unchecked, for enumerators."""
         flag = object.__new__(cls)
-        object.__setattr__(flag, "shape", shape)
-        object.__setattr__(flag, "p", p)
-        object.__setattr__(flag, "bases", bases)
+        fields = flag.__dict__
+        fields["shape"] = shape
+        fields["p"] = p
+        fields["bases"] = bases
         return flag
 
 
 def phi_flag(A: FpMatrix, shape: FlagShape) -> Flag:
     """The flag spanned by the leading column blocks of an invertible matrix."""
     n = shape.n
-    if A.rows != n or A.cols != n:
-        raise ValidationError(f"expected an {n}x{n} matrix")
+    _require_square(A, n)
     if A.rank() != n:
         raise ValidationError("matrix is singular")
     # the canonical bases of an invertible matrix's column prefixes are nested and of full rank
@@ -501,6 +510,8 @@ def reduced_echelon_bases(n: int, e: int, p: int) -> Iterator[FpMatrix]:
     """Every n x e matrix in reduced column-echelon form, i.e. every
     e-dimensional subspace of F_p^n exactly once."""
     _require_prime(p)
+    if n < 0 or e < 0:
+        raise ValidationError(f"matrix sizes must be nonnegative, got {n}x{e}")
     for pivots in itertools.combinations(range(1, n + 1), e):
         pivot_set = set(pivots)
         free = [
@@ -600,11 +611,7 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
             yield FpMatrix._wrap(p, tuple(rows))
             return
         for vec in vectors:
-            if vec in span:
-                continue
-            if len(rows) == n - 1:  # the last row's span would never be read
-                yield FpMatrix._wrap(p, (*rows, vec))
-                continue
-            yield from extend(rows + [vec], _widen(span, vec, p))
+            if vec not in span:
+                yield from extend(rows + [vec], _widen(span, vec, p) if len(rows) < n - 1 else span)
 
     yield from extend([], {(0,) * n})

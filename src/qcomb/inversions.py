@@ -9,12 +9,11 @@ alongside for cross-validation.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .denumerant import _psi_binomial_sums
+from .denumerant import _over_block_factorials, _psi_binomial_sums
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
@@ -193,10 +192,7 @@ def inv_bounds(shape: FlagShape, k: int) -> tuple[Fraction, Fraction]:
     the upper one.  With all blocks singletons (eta = 0) the two coincide
     with the exact count, the sum `full_mahonian_via_binomials` reads.
     """
-    from fractions import Fraction
-    lower, upper = _psi_binomial_sums(shape.n, k, shape.eta)
-    divisor = math.prod(math.factorial(e) for e in shape.block_sizes)
-    return Fraction(lower, divisor), Fraction(upper, divisor)
+    return _over_block_factorials(shape, *_psi_binomial_sums(shape.n, k, shape.eta))
 
 
 def log_concavity_scan(seq: Sequence[int]) -> list[int]:

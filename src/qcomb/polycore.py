@@ -154,24 +154,8 @@ class IntPoly:
         return IntPoly(out)
 
 
-# No caller in the package; perfbench/spans.py still looks the class up by name.
-@frozen
 class TruncatedSeries:
-    """Formal power series known exactly through t^order, nothing beyond."""
-
-    coeffs: tuple[int, ...]
-    order: int
-
-    def __init__(self, coeffs: Iterable[int], order: int):
-        data = tuple(int(c) for c in coeffs)
-        if order < 0:
-            raise ValidationError("truncation order must be nonnegative")
-        if len(data) != order + 1:
-            raise ValidationError(
-                f"series of order {order} needs {order + 1} coefficients, got {len(data)}"
-            )
-        object.__setattr__(self, "coeffs", data)
-        object.__setattr__(self, "order", order)
+    """Unused: kept only because perfbench/spans.py looks it up (ROADMAP item 11)."""
 
 
 def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[int]:

@@ -183,8 +183,12 @@ def q_multinomial_prefix(shape: FlagShape, order: int) -> list[int]:
     The row is a palindrome of degree nu: past t^(nu // 2) it is mirrored, not
     expanded.
     """
-    den = [j for e in shape.block_sizes for j in range(1, min(e, order) + 1)]
-    return _mirrored_prefix(range(1, min(shape.n, order) + 1), den, shape.nu, order)
+    return _mirrored_prefix(range(1, min(shape.n, order) + 1), _ramp(shape, order), shape.nu, order)
+
+
+def _ramp(shape: FlagShape, order: int) -> list[int]:
+    """The exponents 1, 2, ..., e of each block of size e, less those past `order`."""
+    return [j for e in shape.block_sizes for j in range(1, min(e, order) + 1)]
 
 
 @lru_cache(maxsize=None)

@@ -82,6 +82,46 @@ def test_matrix_basics():
         FpMatrix(2, [[1, 0]]).inverse()
 
 
+def test_non_integral_entries_are_refused():
+    with pytest.raises(ValidationError, match="integers"):
+        FpMatrix(2, [[1.5, 0], [0, 1]])
+    assert FpMatrix(3, [[1.0, -1], [4, 2]]).entries == ((1, 2), (1, 2))
+    rows = (iter(row) for row in [[1, 0], [0, 1]])  # read once
+    assert FpMatrix(2, rows).entries == FpMatrix.identity(2, 2).entries
+    shape = FlagShape(3, (2,))
+    with pytest.raises(ValidationError, match="integers"):
+        OrderedSetPartition(shape, [[1.5, 3], [2]])
+    blocks = (iter(block) for block in [[1, 3], [2]])
+    assert OrderedSetPartition(shape, blocks).blocks == ((1, 3), (2,))
+
+
+def test_float_modulus_is_refused():
+    shape = FlagShape(2, (1,))
+    e1 = FpMatrix(2, [[1], [0]])
+    for call in (
+        lambda: FpMatrix(2.0, [[1, 1], [0, 1]]),
+        lambda: Flag(shape, 2.0, (e1,)),
+        lambda: enumerate_flags(shape, 3.0),
+        lambda: flag_count_group_formula(shape, 2.0),
+    ):
+        with pytest.raises(ValidationError, match="modulus must be an integer"):
+            call()
+
+
+def test_square_check_at_each_entry_point():
+    shape = FlagShape(2, (1,))
+    sigma = OrderedSetPartition(shape, ((1,), (2,)))
+    for bad in (FpMatrix(2, [[1, 0, 0], [0, 1, 0]]), FpMatrix.identity(2, 3)):
+        for call in (
+            lambda: is_parabolic_member(bad, shape),
+            lambda: CellForm(sigma, bad),
+            lambda: cell_form(bad, shape),
+            lambda: phi_flag(bad, shape),
+        ):
+            with pytest.raises(ValidationError, match="expected an 2x2 matrix"):
+                call()
+
+
 def test_rank_and_inverse():
     rng = random.Random(RNG_SEED)
     for p in (2, 3, 5):
@@ -500,6 +540,13 @@ def test_subspace_enumeration_counts():
                 assert len(bases) == q_binomial(n, e).eval_at(p)
 
 
+def test_subspace_enumeration_refuses_negative_sizes():
+    for n, e in [(-1, 0), (2, -1)]:
+        with pytest.raises(ValidationError, match="nonnegative"):
+            next(reduced_echelon_bases(n, e, 2))
+    assert list(reduced_echelon_bases(2, 3, 2)) == []  # no 3-dimensional subspaces of F_2^2
+
+
 def test_flag_rejects_malformed_chains():
     shape = FlagShape(3, (1, 2))
     e1 = FpMatrix(2, [[1], [0], [0]])
@@ -633,6 +680,7 @@ def test_gl_enumeration_rejection_matches_order_formula():
     assert sum(1 for _ in enumerate_general_linear(3, 3)) == (27 - 1) * (27 - 3) * (27 - 9)
     with pytest.raises(ValidationError, match="nonnegative"):  # not a cap error at large -n
         next(enumerate_general_linear(-5, 2))
+    assert [m.entries for m in enumerate_general_linear(0, 2)] == [()]  # GL(0) = {the empty matrix}
 
 
 def test_echelon_containment_matches_rank():

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from qcomb import (
     IntPoly,
-    TruncatedSeries,
     ValidationError,
     all_shapes,
     factor_product,
@@ -67,12 +66,6 @@ def test_series_examples():
     assert factor_product((), (1, 2), 4) == [1, 1, 2, 2, 3]
     assert factor_product((), (1, 1, 1), 2) == [1, 3, 6]
     assert factor_product((), (5, 3), 0) == [1]
-
-
-def test_series_rejects_bad_input():
-    # zero weights and negative orders: test_factor_product_edge_cases
-    with pytest.raises(ValidationError):
-        TruncatedSeries((1, 2), 3)
 
 
 @given(

@@ -2,7 +2,7 @@ import pytest
 
 from qcomb import cli, verification
 from qcomb.denumerant import _subset_signed_histogram
-from qcomb.errors import DEFAULT_CAP, ResourceLimitError
+from qcomb.errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError
 from qcomb.polycore import factor_product
 from qcomb.verification import _CHECKS, _run_check, run_suite
 
@@ -77,6 +77,14 @@ def _raises_after_a_case(exc):
         yield None
         raise exc
     return check
+
+
+def test_registry_matches_suite_names_and_check_functions():
+    # the CLI offers SUITE_NAMES without importing the registry; each _check_* is one row
+    assert tuple(_CHECKS) == SUITE_NAMES
+    registered = [check for rows in _CHECKS.values() for _, check, _ in rows]
+    defined = [value for name, value in vars(verification).items() if name.startswith("_check_")]
+    assert sorted(registered, key=id) == sorted(defined, key=id)
 
 
 def test_a_check_that_compares_nothing_fails():
