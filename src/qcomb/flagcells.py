@@ -11,10 +11,14 @@ form: `_reduce_blocks` runs it block by block, recording each column
 operation in the transition matrix g; `s_reduce` is its one-block case and
 `cell_form` its shape case.  The number of unconstrained entries of that
 normal form is the cell dimension, and transporting the partition to a
-multiset word turns the dimension into an inversion count.  `FpMatrix.rank`
-and `inverse` both read one row elimination, `_row_reduce` (Gauss-Jordan),
-which shares no code with `_column_reduce` because the `cell-decomposition`
-and `coset-law` checks use them to check `_column_reduce`'s output.
+multiset word turns the dimension into an inversion count.  `cell_sum_poly`
+sums the dimensions without building a partition: by the level rule in its
+docstring each block's choice of positions gains a fixed amount, and a
+depth-first walk makes one histogram increment per partition, never
+convolving the levels.  `FpMatrix.rank` and `inverse` both read one row
+elimination, `_row_reduce` (Gauss-Jordan), which shares no code with
+`_column_reduce` because the `cell-decomposition` and `coset-law` checks use
+them to check `_column_reduce`'s output.
 
 Everything is exact arithmetic over F_p, p a prime below 2^64.
 """
@@ -24,7 +28,6 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from operator import lt, mul
 from typing import Iterator, Sequence
 
@@ -106,6 +109,9 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> FpMatrix:
+        if int(n) != n or n < 0:
+            raise ValidationError(f"matrix size must be a nonnegative integer, got {n!r}")
+        n = int(n)
         return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
@@ -289,32 +295,41 @@ class OrderedSetPartition:
         object.__setattr__(self, "blocks", data)
 
 
+def _check_partition_cap(shape: FlagShape, cap: int) -> None:
+    check_cap(cap, "ordered set partition enumeration", shape.n - max(shape.block_sizes), shape.multinomial)
+
+
+def _levels(shape: FlagShape) -> Iterator[tuple[int, int, Iterator[tuple[int, ...]]]]:
+    """Each block but the last as (left, size, choices): `left` elements are
+    still unplaced, and `choices` yields the block's positions among them,
+    every size-subset of range(left) in lex order."""
+    left = shape.n
+    for size in shape.block_sizes[:-1]:
+        yield left, size, itertools.combinations(range(left), size)
+        left -= size
+
+
 def enumerate_partitions(shape: FlagShape, cap: int = DEFAULT_CAP) -> Iterator[OrderedSetPartition]:
     """Every ordered set partition with the shape's block sizes, lex order.
 
     Each block but the last is a choice of positions among the elements not
     yet placed; the choices and the positions each leaves over depend only on
-    the block's level, so they are listed once per level.  Each level hands
-    the blocks chosen so far down to the next, and the innermost level builds
-    the last two blocks and the partition itself.  The partitions of two or
-    more blocks are valid by construction and built unchecked, by storing the
-    two fields straight into each new instance's __dict__;
-    test_enumerated_objects_match_public_constructors pins them.
+    the block's level, so they are listed once per level, from `_levels`.
+    Each level hands the blocks chosen so far down to the next, and the
+    innermost level builds the last two blocks and the partition itself.  The
+    partitions of two or more blocks are valid by construction and built
+    unchecked, by storing the two fields straight into each new instance's
+    __dict__; test_enumerated_objects_match_public_constructors pins them.
     """
-    check_cap(cap, "ordered set partition enumeration", shape.n - max(shape.block_sizes), shape.multinomial)
+    _check_partition_cap(shape, cap)
     everything = tuple(range(1, shape.n + 1))
     if not shape.d:
         yield OrderedSetPartition(shape, (everything,))
         return
-    splits = []
-    left = shape.n
-    for size in shape.block_sizes[:-1]:
-        positions = range(left)
-        splits.append([
-            (chosen, tuple(i for i in positions if i not in chosen))
-            for chosen in itertools.combinations(positions, size)
-        ])
-        left -= size
+    splits = [
+        [(chosen, tuple(i for i in range(left) if i not in chosen)) for chosen in choices]
+        for left, _, choices in _levels(shape)
+    ]
     innermost = len(splits) - 1
     new, cls = object.__new__, OrderedSetPartition
 
@@ -426,10 +441,46 @@ def cell_form(
 
 
 def cell_sum_poly(shape: FlagShape, anti: bool = False, cap: int = DEFAULT_CAP) -> IntPoly:
-    """Generating polynomial of cell dimensions over all partitions of the shape.
-    Its nu + 1 entries are laid out only once the enumeration has passed its cap."""
-    hist = Counter(map(cell_dimension, enumerate_partitions(shape, cap=cap), itertools.repeat(anti)))
-    return IntPoly([hist[k] for k in range(shape.nu + 1)])
+    """Generating polynomial of cell dimensions over all partitions of the shape,
+    summed by a depth-first walk that builds no partition.
+
+    Level rule: a block that takes positions c_0 < ... < c_{size-1} among the
+    `left` elements still unplaced (sorted) gains sum_j (left - size - c_j + j),
+    the unchosen positions above each c_j, which are the later blocks' rows
+    below its pivot; the anti form gains sum_j (c_j - j), those below.  The
+    walk carries the running sum through every tuple of the levels' choices,
+    and the innermost level adds 1 to the histogram per choice: one increment
+    per partition.  Convolving the levels or memoising a partial histogram
+    would make it the q-binomial product it checks.  The cap is checked first.
+
+    On FlagShape(3, (1,)) the first block takes position 0, 1 or 2 of the
+    three elements and gains 2, 1 or 0 (anti: 0, 1 or 2); the last gains 0.
+
+    >>> cell_sum_poly(FlagShape(3, (1,))).coeffs, cell_sum_poly(FlagShape(3, (1,)), anti=True).coeffs
+    ((1, 1, 1), (1, 1, 1))
+    """
+    _check_partition_cap(shape, cap)
+    gains = []
+    for left, size, choices in _levels(shape):
+        below = size * (size - 1) // 2  # sum_j j
+        if anti:
+            gains.append([sum(c) - below for c in choices])
+        else:
+            gains.append([size * (left - size) + below - sum(c) for c in choices])
+    hist = [0] * (shape.nu + 1)
+    *outer, inner = gains or [[0]]
+    last = len(outer)
+
+    def walk(level: int, acc: int) -> None:
+        if level == last:
+            for g in inner:
+                hist[acc + g] += 1
+        else:
+            for g in outer[level]:
+                walk(level + 1, acc + g)
+
+    walk(0, 0)
+    return IntPoly(hist)
 
 
 def tau_for_lambda(n: int, d1: int, k: int) -> OrderedSetPartition:

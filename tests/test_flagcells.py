@@ -95,6 +95,15 @@ def test_non_integral_entries_are_refused():
     assert OrderedSetPartition(shape, blocks).blocks == ((1, 3), (2,))
 
 
+def test_identity_size_follows_the_shape_rule():
+    # a whole number is accepted as an int; a negative or fractional size is refused
+    for n in (-1, 1.5):
+        with pytest.raises(ValidationError, match="nonnegative integer"):
+            FpMatrix.identity(2, n)
+    assert FpMatrix.identity(2, 2.0) == FpMatrix.identity(2, 2)
+    assert FpMatrix.identity(3, 0).entries == ()
+
+
 def test_float_modulus_is_refused():
     shape = FlagShape(2, (1,))
     e1 = FpMatrix(2, [[1], [0]])
@@ -429,6 +438,34 @@ def test_anti_dimension_is_inversion_count_of_derived_permutation():
 def test_cell_sum_examples():
     assert cell_sum_poly(FlagShape(2, (1,))).coeffs == (1, 1)
     assert cell_sum_poly(FlagShape(3, (1,)), anti=True).coeffs == (1, 1, 1)
+
+
+def test_cell_sum_walk_matches_normal_form_histogram():
+    # the level-rule walk against cell_dimension's pool-and-bisect count, partition by partition
+    for n in range(1, 8):
+        for shape in all_shapes(n):
+            for anti in (False, True):
+                hist = [0] * (shape.nu + 1)
+                for sigma in enumerate_partitions(shape):
+                    hist[cell_dimension(sigma, anti)] += 1
+                assert cell_sum_poly(shape, anti).coeffs == tuple(hist), (shape, anti)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 9), st.sets(st.integers(1, 8)))
+def test_cell_sum_is_the_q_multinomial(n, cuts):
+    # past verify's n <= 6, at sizes the partition-by-partition count could not afford here
+    shape = FlagShape(n, sorted(c for c in cuts if c < n))
+    assert cell_sum_poly(shape) == cell_sum_poly(shape, anti=True) == q_multinomial(shape)
+
+
+def test_cell_sum_refuses_before_building_levels():
+    shape = FlagShape.full(10)
+    with pytest.raises(ResourceLimitError) as walk:
+        cell_sum_poly(shape, cap=100)
+    with pytest.raises(ResourceLimitError) as listing:
+        list(enumerate_partitions(shape, cap=100))
+    assert str(walk.value) == str(listing.value)
 
 
 def test_tau_examples():
