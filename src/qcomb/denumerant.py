@@ -28,7 +28,7 @@ from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints
 from .polycore import _mirrored_prefix, factor_product
 from .qanalogue import FlagShape, _ramp
 
@@ -45,13 +45,10 @@ class WeightVector:
     weights: tuple[int, ...]
 
     def __init__(self, weights: Sequence[int]):
-        data = tuple(weights)
-        if not data:
-            raise ValidationError("weight vector must be nonempty")
-        for w in data:
-            if int(w) != w or w < 1:
-                raise ValidationError(f"weights must be positive integers, got {w}")
-        object.__setattr__(self, "weights", tuple(map(int, data)))
+        data = require_ints(weights, "weights")
+        if not data or min(data) < 1:
+            raise ValidationError(f"weights must be a nonempty tuple of positive integers, got {data}")
+        object.__setattr__(self, "weights", data)
 
     @classmethod
     def ones(cls, n: int) -> WeightVector:
@@ -66,12 +63,11 @@ class PsiTable:
     values: tuple[int, ...]
 
     def __init__(self, n: int, values: tuple[int, ...]):
-        if n < 1:
-            raise ValidationError("PsiTable requires n >= 1")
+        n, values = require_int(n, "PsiTable n", 1), require_ints(values, "psi values")
         if len(values) != n * (n + 1) // 2 + 1:
             raise ValidationError("PsiTable has the wrong length for its n")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def for_n(cls, n: int) -> PsiTable:
@@ -97,7 +93,7 @@ def psi_prefix(n: int, order: int) -> list[int]:
 
 def denumerant(w: WeightVector, m: int) -> int:
     """Number of ways to write m as a nonnegative combination of the weights; 0 for m < 0."""
-    if m < 0:
+    if (m := require_int(m, "m")) < 0:
         return 0
     return factor_product((), w.weights, m)[m]
 
@@ -160,8 +156,7 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
     enumerates 2^n signed subsets and is capped; the exp-log route works in
     integers and insists that each step of its recurrence divide exactly.
     """
-    if n < 1:
-        raise ValidationError("psi requires n >= 1")
+    n, r = require_int(n, "psi n", 1), require_int(r, "psi index")
     if method not in PSI_METHODS:
         raise ValidationError(f"unknown psi method {method!r}; choose from {PSI_METHODS}")
     top = n * (n + 1) // 2

@@ -1,11 +1,20 @@
-"""Exceptions, constants and the `frozen` value-class decorator shared across the package.
+"""Exceptions, constants, the integer rule and the `frozen` value-class decorator
+shared across the package.
 
 Validation failures (bad arguments, malformed shapes) and resource-cap
 overruns are distinct conditions: callers may want to retry the latter
 with a larger cap, but never the former.
+
+The integer rule: where the library takes integer data (a size, an index, a
+weight, a coefficient, an entry), a whole number is stored as `int` and
+anything else (1.5, "2", None, NaN, +-inf, a non-iterable where a sequence
+is due) raises ValidationError.  `require_int` and `require_ints` state it for
+every checked constructor and size; trusted builds of checked data skip it.
+The one stricter case is the prime modulus, `flagcells._require_prime`: it
+must be an `int` itself, so 2.0 is refused.
 """
 
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Callable
 
 
@@ -19,8 +28,71 @@ class ResourceLimitError(RuntimeError):
 
 DEFAULT_CAP = 10**6
 
+# How `require_int` names each minimum it is given.
+_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
 # The verify suites, one per layer, listed where the CLI reads them without the registry.
 SUITE_NAMES = ("qanalogue", "inversions", "denumerant", "flagcells")
+
+
+def require_int(value, what: str, minimum: int | None = None) -> int:
+    """`value` as an int if it is a whole number, and at least `minimum` (None, 0
+    or 1) when one is given; else ValidationError naming `what`.
+
+    >>> require_int(2.0, "n", 1), require_int(-3, "index")
+    (2, -3)
+    >>> for value, minimum in [(1.5, None), ("2", None), (None, 0), (float("nan"), 1), (0, 1)]:
+    ...     try:
+    ...         require_int(value, "n", minimum)
+    ...     except ValidationError as exc:
+    ...         print(exc)
+    n must be an integer, got 1.5
+    n must be an integer, got '2'
+    n must be a nonnegative integer, got None
+    n must be a positive integer, got nan
+    n must be a positive integer, got 0
+    """
+    try:
+        number = int(value)
+        if number == value and (minimum is None or number >= minimum):
+            return number
+    except (TypeError, ValueError, OverflowError):  # no int() at all: None, "x", NaN, an infinity
+        pass
+    raise ValidationError(f"{what} must be {_KINDS[minimum]}, got {value!r}")
+
+
+def require_ints(values, what: str) -> tuple[int, ...]:
+    """The entries of the iterable `values` as a tuple of ints if every one is a
+    whole number; else ValidationError naming `what`.  No Python-level step is
+    taken per entry: `operator.index` converts a row of ints in C, and a row it
+    refuses, say one holding 2.0, is converted by `int` and must equal the row given.
+
+    >>> require_ints([2.0, 3, -1], "weights")
+    (2, 3, -1)
+    >>> for values in [(1.5, 2), ["2"], iter([None]), (float("inf"),), 5]:
+    ...     try:
+    ...         require_ints(values, "weights")
+    ...     except ValidationError as exc:
+    ...         print(exc)
+    weights must be integers, got (1.5, 2)
+    weights must be integers, got ('2',)
+    weights must be integers, got (None,)
+    weights must be integers, got (inf,)
+    weights must be integers, got 5
+    """
+    raw = values
+    try:  # operator.index takes ints and int-likes only, at about twice the speed of int()
+        raw = tuple(values)
+        return tuple(map(index, raw))
+    except TypeError:  # a float or anything else that is no int; or `values` is not iterable
+        pass
+    try:
+        data = tuple(map(int, raw))
+        if data == raw:
+            return data
+    except (TypeError, ValueError, OverflowError):  # as in require_int
+        pass
+    raise ValidationError(f"{what} must be integers, got {raw!r}")
 
 
 def check_cap(cap: int, what: str, bits: int, count: Callable[[], int] | None = None) -> None:

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from operator import lt, mul
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial_at
@@ -84,10 +84,7 @@ class FpMatrix:
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]]):
         _require_prime(p)
-        raw = tuple(map(tuple, rows))
-        data = tuple(tuple(map(int, row)) for row in raw)
-        if data != raw:
-            raise ValidationError(f"matrix entries must be integers, got {raw}")
+        data = tuple(require_ints(row, "matrix entries") for row in rows)
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValidationError("ragged rows in matrix")
         object.__setattr__(self, "p", p)
@@ -109,9 +106,7 @@ class FpMatrix:
 
     @classmethod
     def identity(cls, p: int, n: int) -> FpMatrix:
-        if int(n) != n or n < 0:
-            raise ValidationError(f"matrix size must be a nonnegative integer, got {n!r}")
-        n = int(n)
+        n = require_int(n, "matrix size", 0)
         return cls(p, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
@@ -275,10 +270,7 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, shape: FlagShape, blocks: Sequence[Sequence[int]]):
-        raw = tuple(map(tuple, blocks))
-        data = tuple(tuple(map(int, b)) for b in raw)
-        if data != raw:
-            raise ValidationError(f"blocks must hold integers, got {raw}")
+        data = tuple(require_ints(block, "blocks") for block in blocks)
         sizes = shape.block_sizes
         if len(data) != len(sizes):
             raise ValidationError(f"expected {len(sizes)} blocks, got {len(data)}")
@@ -489,6 +481,7 @@ def tau_for_lambda(n: int, d1: int, k: int) -> OrderedSetPartition:
     Writing k = a*e2 + b with 0 <= b < e2, the first block takes 1..a, the
     top e1-a-1 values, and the single value n - e1 + a + 1 - b.
     """
+    n, d1, k = require_int(n, "n"), require_int(d1, "d1"), require_int(k, "target dimension")
     if not 1 <= d1 < n:
         raise ValidationError(f"need 1 <= d1 < n, got d1={d1}, n={n}")
     shape = FlagShape(n, (d1,))
@@ -561,8 +554,7 @@ def reduced_echelon_bases(n: int, e: int, p: int) -> Iterator[FpMatrix]:
     """Every n x e matrix in reduced column-echelon form, i.e. every
     e-dimensional subspace of F_p^n exactly once."""
     _require_prime(p)
-    if n < 0 or e < 0:
-        raise ValidationError(f"matrix sizes must be nonnegative, got {n}x{e}")
+    n, e = require_int(n, "n", 0), require_int(e, "e", 0)
     for pivots in itertools.combinations(range(1, n + 1), e):
         pivot_set = set(pivots)
         free = [
@@ -651,8 +643,7 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
     the rows below.  The last row's span is never built.
     """
     _require_prime(p)
-    if n < 0:
-        raise ValidationError(f"matrix size must be nonnegative, got {n}")
+    n = require_int(n, "matrix size", 0)
     check_cap(cap, "general linear group enumeration", n * (n - 1),  # each p^n - p^i >= 2^(n-1)
               lambda: math.prod(p**n - p**i for i in range(n)))
     vectors = list(itertools.product(range(p), repeat=n))

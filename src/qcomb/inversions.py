@@ -14,7 +14,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .denumerant import _over_block_factorials, _psi_binomial_sums
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
 
@@ -30,7 +30,7 @@ class MultisetWord:
     shape: FlagShape
 
     def __init__(self, letters: Sequence[int], shape: FlagShape):
-        data = tuple(letters)
+        data = require_ints(letters, "letters")
         if sorted(data) != _first_word(shape):
             raise ValidationError(f"letters {data} do not have block content {shape.block_sizes}")
         object.__setattr__(self, "letters", data)
@@ -49,7 +49,7 @@ class MahonianTable:
     counts: tuple[int, ...]
 
     def __init__(self, shape: FlagShape, counts: Sequence[int]):
-        data = tuple(map(int, counts))
+        data = require_ints(counts, "inversion counts")
         nu = shape.nu
         if len(data) != nu + 1:
             raise ValidationError(f"table must cover 0..{nu}, got {len(data)} entries")
@@ -149,7 +149,7 @@ def mahonian_coefficient(shape: FlagShape, k: int) -> int:
     The row is a palindrome, so the q-multinomial is expanded only through
     t^min(k, nu - k).
     """
-    if not 0 <= k <= shape.nu:
+    if not 0 <= (k := require_int(k, "inversion count")) <= shape.nu:
         return 0
     return q_multinomial_prefix(shape, min(k, shape.nu - k))[-1]
 

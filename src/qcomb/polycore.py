@@ -31,7 +31,7 @@ import itertools
 import operator
 from typing import Iterable
 
-from .errors import ValidationError, frozen
+from .errors import ValidationError, frozen, require_ints
 
 # Degree reported for the zero polynomial: a sentinel strictly below every
 # attainable degree, so degree comparisons never need a special case.
@@ -56,7 +56,7 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        trimmed = list(map(int, coeffs))
+        trimmed = list(require_ints(coeffs, "polynomial coefficients"))
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()
         object.__setattr__(self, "coeffs", tuple(trimmed))

@@ -31,7 +31,7 @@ import math
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints
 from .polycore import IntPoly, _mirrored_prefix
 
 
@@ -50,12 +50,7 @@ class FlagShape:
     d: tuple[int, ...]
 
     def __init__(self, n: int, d: tuple[int, ...] | list[int] = ()):
-        cuts = tuple(d)
-        if int(n) != n or n < 1:
-            raise ValidationError(f"n must be a positive integer, got {n!r}")
-        if any(int(x) != x for x in cuts):
-            raise ValidationError(f"cuts must be integers, got {cuts}")
-        n, cuts = int(n), tuple(map(int, cuts))
+        n, cuts = require_int(n, "n", 1), require_ints(d, "cuts")
         prev = 0
         for x in cuts:
             if x <= prev:
