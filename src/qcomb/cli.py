@@ -40,7 +40,7 @@ from .denumerant import (
     mahonian_via_denumerant,
     psi,
 )
-from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError
+from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, require_int
 from .flagcells import _require_prime, cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
 from .qanalogue import FlagShape, q_binomial, q_binomial_at
@@ -277,8 +277,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     try:
-        if args.cap < 1:
-            raise ValidationError(f"--cap must be a positive integer, got {args.cap}")
+        require_int(args.cap, "--cap", 1)
         record, status = args.handler(args)
         text = render(record, args.format)
     except ValidationError as exc:

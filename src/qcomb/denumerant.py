@@ -52,7 +52,7 @@ class WeightVector:
 
     @classmethod
     def ones(cls, n: int) -> WeightVector:
-        return cls((1,) * n)
+        return cls((1,) * require_int(n, "n", 1))
 
 
 @frozen
@@ -71,6 +71,7 @@ class PsiTable:
 
     @classmethod
     def for_n(cls, n: int) -> PsiTable:
+        n = require_int(n, "PsiTable n", 1)
         return cls(n, tuple(psi_prefix(n, n * (n + 1) // 2)))
 
     def value(self, r: int) -> int:
@@ -87,6 +88,7 @@ def psi_prefix(n: int, order: int) -> list[int]:
     psi_n(top - r) = (-1)^n psi_n(r), so past t^(top // 2) the coefficients
     are mirrored, not expanded.
     """
+    n, order = require_int(n, "psi n", 0), require_int(order, "truncation order", 0)
     top = n * (n + 1) // 2
     return _mirrored_prefix(range(1, min(n, order) + 1), (), top, order, -1 if n % 2 else 1)
 
@@ -105,10 +107,10 @@ def epsilon_weights(shape: FlagShape) -> WeightVector:
 
 def restricted_divisor_sum(n: int, k: int) -> int:
     """Sum of the divisors of k that are at most n."""
-    if n < 1:
-        raise ValidationError("divisor bound must be a positive integer")
-    if k < 1:
-        raise ValidationError("restricted divisor sum requires k >= 1")
+    return _divisor_sum(require_int(n, "divisor bound", 1), require_int(k, "k", 1))
+
+
+def _divisor_sum(n: int, k: int) -> int:
     return sum(d for d in range(1, min(n, k) + 1) if k % d == 0)
 
 
@@ -139,7 +141,7 @@ def _subset_signed_histogram(n: int) -> tuple[int, ...]:
 
 def _exp_log_coefficients(n: int, top: int) -> list[int]:
     # exp of L(t) = -sum_k (sigma_k / k) t^k, via m*e_m = -sum_j sigma_j e_{m-j} in integers
-    sigma = [restricted_divisor_sum(n, k) for k in range(1, top + 1)]
+    sigma = [_divisor_sum(n, k) for k in range(1, top + 1)]
     coeffs = [1]
     for m in range(1, top + 1):
         value, rest = divmod(-sum(map(mul, sigma[:m], reversed(coeffs))), m)
@@ -183,9 +185,7 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
 def mahonian_via_denumerant(shape: FlagShape, k: int) -> int:
     """Count words of the given block content with exactly k inversions,
     via the convolution of psi with the per-block ramp denumerant; 0 for k > nu."""
-    if k < 0:
-        raise ValidationError("inversion count must be nonnegative")
-    if k > shape.nu:
+    if (k := require_int(k, "inversion count", 0)) > shape.nu:
         return 0
     coeffs = psi_prefix(shape.n, k)
     series = factor_product((), _ramp(shape, k), k)  # weights past t^k cannot reach it
@@ -198,9 +198,7 @@ def _psi_binomial_sums(n: int, k: int, eta: int) -> tuple[int, int]:
     # to C(n-1+eta+k-i, n-1).  At eta = 0 both count permutations with k inversions.
     # Each binomial comes from the one before by C(N-1, r) = C(N, r) (N-r) / N,
     # r = n - 1, one exact small multiply and divide per i, zero psi_n(i) or not.
-    if k < 0:
-        raise ValidationError("inversion count must be nonnegative")
-    r = n - 1
+    k, r = require_int(k, "inversion count", 0), n - 1
     plain = math.comb(r + k, r)
     stretched = math.comb(r + eta + k, r)
     first = second = 0
@@ -219,9 +217,7 @@ def _psi_binomial_sums(n: int, k: int, eta: int) -> tuple[int, int]:
 
 def full_mahonian_via_binomials(n: int, k: int) -> int:
     """Permutations of [n] with exactly k inversions, as a psi-weighted sum of binomials."""
-    if n < 1:
-        raise ValidationError("n must be a positive integer")
-    return _psi_binomial_sums(n, k, 0)[0]
+    return _psi_binomial_sums(require_int(n, "n", 1), k, 0)[0]
 
 
 def denumerant_bounds(shape: FlagShape, m: int) -> tuple[Fraction, Fraction]:
@@ -229,9 +225,7 @@ def denumerant_bounds(shape: FlagShape, m: int) -> tuple[Fraction, Fraction]:
 
         binom(n-1+m, n-1)/prod(e_i!) <= D(m) <= binom(n-1+eta+m, n-1)/prod(e_i!)
     """
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
-    r = shape.n - 1
+    m, r = require_int(m, "m", 0), shape.n - 1
     return _over_block_factorials(shape, math.comb(r + m, r), math.comb(r + shape.eta + m, r))
 
 

@@ -8,10 +8,11 @@ with a larger cap, but never the former.
 The integer rule: where the library takes integer data (a size, an index, a
 weight, a coefficient, an entry), a whole number is stored as `int` and
 anything else (1.5, "2", None, NaN, +-inf, a non-iterable where a sequence
-is due) raises ValidationError.  `require_int` and `require_ints` state it for
-every checked constructor and size; trusted builds of checked data skip it.
-The one stricter case is the prime modulus, `flagcells._require_prime`: it
-must be an `int` itself, so 2.0 is refused.
+is due) raises ValidationError.  `require_int`, `require_ints` and
+`require_sequence` state it for every public entry point; trusted builds of
+checked data skip it.  `check_cap` is the one place the cap rule lives: a cap
+is a positive integer.  The prime modulus, `flagcells._require_prime`, is
+stricter: it must be an `int` itself, so 2.0 is refused.
 """
 
 from operator import attrgetter, index
@@ -95,11 +96,20 @@ def require_ints(values, what: str) -> tuple[int, ...]:
     raise ValidationError(f"{what} must be integers, got {raw!r}")
 
 
+def require_sequence(values, what: str) -> tuple:
+    """The iterable `values` as a tuple; else ValidationError naming `what`."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, got {values!r}") from None
+
+
 def check_cap(cap: int, what: str, bits: int, count: Callable[[], int] | None = None) -> None:
     """Raise ResourceLimitError if an enumeration of at least 2^bits items, or of
     exactly `count()` items, exceeds `cap`.  The bound is checked first, so `count`,
     which may be huge to build, is called only when the bound fits.  An exact amount
     past 64 bits is named by its size, "at least 2^N", to keep the message short.
+    A `cap` that is not a positive integer is a ValidationError.
 
     >>> def refusal(call, *args):
     ...     try:
@@ -114,6 +124,7 @@ def check_cap(cap: int, what: str, bits: int, count: Callable[[], int] | None = 
     >>> refusal(next, enumerate_words(FlagShape.full(25), cap=2**70))
     'multiset word enumeration requires enumerating at least 2^83 items, above the cap of 1180591620717411303424'
     """
+    cap = require_int(cap, "cap", 1)
     if bits >= cap.bit_length():  # then 2^bits >= 2^cap.bit_length() > cap
         required = f"at least 2^{bits}"
     elif count is None or (required := count()) <= cap:

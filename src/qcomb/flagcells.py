@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from operator import lt, mul
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints
+from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints, require_sequence
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial_at
@@ -84,7 +84,7 @@ class FpMatrix:
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]]):
         _require_prime(p)
-        data = tuple(require_ints(row, "matrix entries") for row in rows)
+        data = tuple(require_ints(row, "matrix entries") for row in require_sequence(rows, "matrix rows"))
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValidationError("ragged rows in matrix")
         object.__setattr__(self, "p", p)
@@ -270,7 +270,7 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, shape: FlagShape, blocks: Sequence[Sequence[int]]):
-        data = tuple(require_ints(block, "blocks") for block in blocks)
+        data = tuple(require_ints(block, "blocks") for block in require_sequence(blocks, "blocks"))
         sizes = shape.block_sizes
         if len(data) != len(sizes):
             raise ValidationError(f"expected {len(sizes)} blocks, got {len(data)}")
@@ -512,7 +512,7 @@ class Flag:
 
     def __init__(self, shape: FlagShape, p: int, bases: Sequence[FpMatrix]):
         _require_prime(p)
-        data = tuple(bases)
+        data = require_sequence(bases, "bases")
         if len(data) != shape.r:
             raise ValidationError(f"expected {shape.r} subspaces, got {len(data)}")
         previous: FpMatrix | None = None

@@ -31,7 +31,7 @@ import itertools
 import operator
 from typing import Iterable
 
-from .errors import ValidationError, frozen, require_ints
+from .errors import ValidationError, frozen, require_int, require_ints
 
 # Degree reported for the zero polynomial: a sentinel strictly below every
 # attainable degree, so degree comparisons never need a special case.
@@ -71,9 +71,7 @@ class IntPoly:
 
     @classmethod
     def monomial(cls, coeff: int, power: int) -> IntPoly:
-        if power < 0:
-            raise ValidationError("monomial power must be nonnegative")
-        return cls((0,) * power + (coeff,))
+        return cls((0,) * require_int(power, "monomial power", 0) + (coeff,))
 
     @property
     def degree(self) -> int:
@@ -178,9 +176,8 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
     >>> factor_product((2, 3), (1, 1), 6)
     [1, 2, 2, 1, 0, 0, 0]
     """
-    num, den = tuple(num), tuple(den)
-    if order < 0:
-        raise ValidationError("truncation order must be nonnegative")
+    num, den = require_ints(num, "factor exponents"), require_ints(den, "factor exponents")
+    order = require_int(order, "truncation order", 0)
     if min(num + den, default=1) < 1:
         raise ValidationError(f"factor exponents must be positive integers, got {min(num + den)}")
     # The list is allocated before any shift, so a row too long to hold ends

@@ -72,7 +72,7 @@ class FlagShape:
     @classmethod
     def full(cls, n: int) -> FlagShape:
         """The complete cut sequence 1 < 2 < ... < n-1 (all blocks singletons)."""
-        return cls(n, tuple(range(1, n)))
+        return cls(n, tuple(range(1, require_int(n, "n", 1))))
 
     @property
     def r(self) -> int:
@@ -84,7 +84,8 @@ class FlagShape:
 
 
 def all_shapes(n: int) -> Iterator[FlagShape]:
-    """Every FlagShape on n, cut sequences in size-then-lex order."""
+    """Every FlagShape on n, cut sequences in size-then-lex order; none for n = 0."""
+    n = require_int(n, "n", 0)
     for r in range(n):
         for d in itertools.combinations(range(1, n), r):
             yield FlagShape(n, d)
@@ -92,25 +93,20 @@ def all_shapes(n: int) -> Iterator[FlagShape]:
 
 def q_int(n: int) -> IntPoly:
     """1 + x + ... + x^{n-1}; the zero polynomial for n = 0."""
-    if n < 0:
-        raise ValidationError("q_int requires a nonnegative integer")
-    return IntPoly((1,) * n)
+    return IntPoly((1,) * require_int(n, "n", 0))
 
 
 def q_factorial(n: int) -> IntPoly:
     """Product of q_int(1) ... q_int(n); the constant 1 for n = 0."""
-    if n < 0:
-        raise ValidationError("q_factorial requires a nonnegative integer")
     result = IntPoly.one()
-    for m in range(1, n + 1):
+    for m in range(1, require_int(n, "n", 0) + 1):
         result = result * q_int(m)
     return result
 
 
 def _binomial_lower(n: int, e: int) -> int:
     # validates a q-binomial's arguments and returns min(e, n - e)
-    if n < 0 or e < 0:
-        raise ValidationError("q_binomial requires nonnegative arguments")
+    n, e = require_int(n, "n", 0), require_int(e, "e", 0)
     if e > n:
         raise ValidationError(f"q_binomial needs e <= n, got e={e}, n={n}")
     return min(e, n - e)
@@ -129,7 +125,7 @@ def q_binomial_at(n: int, e: int, q: int) -> int:
     >>> q_binomial_at(4, 2, 2), q_binomial_at(4, 2, -1), q_binomial_at(5, 2, -1)
     (35, 2, 2)
     """
-    e = _binomial_lower(n, e)
+    e, q = _binomial_lower(n, e), require_int(q, "q")
     return q_multinomial_at(FlagShape(n, (e,)), q) if e else 1
 
 
@@ -149,7 +145,7 @@ def q_multinomial_at(shape: FlagShape, q: int) -> int:
     >>> [q_multinomial_at(FlagShape(3, (1, 2)), q) for q in range(-2, 3)]
     [-3, 0, 1, 6, 21]
     """
-    sizes = shape.block_sizes
+    sizes, q = shape.block_sizes, require_int(q, "q")
     if q == -1:
         if sum(e % 2 for e in sizes) > 1:
             return 0
@@ -178,6 +174,7 @@ def q_multinomial_prefix(shape: FlagShape, order: int) -> list[int]:
     The row is a palindrome of degree nu: past t^(nu // 2) it is mirrored, not
     expanded.
     """
+    order = require_int(order, "truncation order", 0)
     return _mirrored_prefix(range(1, min(shape.n, order) + 1), _ramp(shape, order), shape.nu, order)
 
 
@@ -186,11 +183,13 @@ def _ramp(shape: FlagShape, order: int) -> list[int]:
     return [j for e in shape.block_sizes for j in range(1, min(e, order) + 1)]
 
 
-@lru_cache(maxsize=None)
 def partition_count(e: int, s: int, m: int) -> int:
-    """Partitions of m into at most s parts, each part at most e."""
-    if e < 0 or s < 0:
-        raise ValidationError("partition bounds must be nonnegative")
+    """Partitions of m into at most s parts, each part at most e; 0 for m < 0."""
+    return _partition_count(require_int(e, "e", 0), require_int(s, "s", 0), require_int(m, "m"))
+
+
+@lru_cache(maxsize=None)
+def _partition_count(e: int, s: int, m: int) -> int:
     if m < 0:
         return 0
     if m == 0:
@@ -198,7 +197,7 @@ def partition_count(e: int, s: int, m: int) -> int:
     if e == 0 or s == 0:
         return 0
     # split on whether a part of size exactly e occurs
-    return partition_count(e - 1, s, m) + partition_count(e, s - 1, m - e)
+    return _partition_count(e - 1, s, m) + _partition_count(e, s - 1, m - e)
 
 
 def multiset_sum_poly(e: int, s: int, cap: int = DEFAULT_CAP) -> IntPoly:
@@ -211,8 +210,7 @@ def multiset_sum_poly(e: int, s: int, cap: int = DEFAULT_CAP) -> IntPoly:
     the recursion limit.  Below a node whose largest allowed part is 1 the
     multisets add ones only, so it counts them in a flat loop.
     """
-    if e < 0 or s < 0:
-        raise ValidationError("multiset bounds must be nonnegative")
+    e, s = require_int(e, "e", 0), require_int(s, "s", 0)
     check_cap(cap, "bounded-multiset enumeration", min(e, s),  # binom(e+s, e) >= 2^min(e, s)
               lambda: math.comb(e + s, e))
     hist = [0] * (e * s + 1)

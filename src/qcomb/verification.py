@@ -32,7 +32,7 @@ from .denumerant import (
     psi,
     restricted_divisor_sum,
 )
-from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError
+from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, require_int
 from .flagcells import (
     FpMatrix,
     cell_dimension,
@@ -535,8 +535,7 @@ _CHECKS: dict[str, list[tuple[str, Check, str]]] = {
 
 def run_suite(suite: str, max_n: int = 6, cap: int = DEFAULT_CAP) -> list[CheckResult]:
     """Run one suite (or 'all'); returns one result per check, in order."""
-    if max_n < 1:
-        raise ValidationError(f"max_n must be a positive integer, got {max_n}")
+    max_n, cap = require_int(max_n, "max_n", 1), require_int(cap, "cap", 1)
     if suite == "all":
         names = list(SUITE_NAMES)
     elif suite in _CHECKS:

@@ -1,15 +1,19 @@
-"""One integer rule across the public library: wherever a class or a checked
-size or index takes integer data, a whole number is stored as an int and
-anything else raises ValidationError.  The prime modulus is stricter: it must
-be an int itself."""
+"""One integer rule across the public library: wherever a public class or
+function takes integer data, a whole number is stored as an int and anything
+else raises ValidationError.  The prime modulus is stricter: it must be an int
+itself.  No module but `qcomb.errors` writes the rule out by hand."""
 
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 from typing import Iterator
 
 import pytest
 
 import qcomb
 from qcomb import (
+    DEFAULT_CAP,
     CellForm,
     Flag,
     FlagShape,
@@ -21,19 +25,43 @@ from qcomb import (
     PsiTable,
     ValidationError,
     WeightVector,
+    all_shapes,
+    cell_sum_poly,
     denumerant,
+    denumerant_bounds,
+    enumerate_flags,
     enumerate_general_linear,
+    enumerate_partitions,
+    enumerate_words,
+    factor_product,
+    flag_count_group_formula,
+    full_mahonian,
+    full_mahonian_via_binomials,
+    inv_bounds,
+    inversion_distribution_oracle,
     mahonian_coefficient,
+    mahonian_via_denumerant,
+    multiset_sum_poly,
+    partition_count,
     psi,
+    psi_prefix,
+    q_binomial,
+    q_factorial,
+    q_int,
+    q_multinomial_prefix,
     reduced_echelon_bases,
+    restricted_divisor_sum,
     tau_for_lambda,
 )
+from qcomb.qanalogue import q_binomial_at, q_multinomial_at
 
 SHAPE = FlagShape(3, (2,))
+CAP = DEFAULT_CAP
 
-# One valid call per public class, per flagcells size argument and per index
-# reader: (name, callable, arguments, positions of a prime modulus).  Every int
-# among the arguments, alone or inside a tuple, is replaced in turn.
+# One valid call per public callable that takes integer data, and per public
+# class method that does: (name, callable, arguments, positions of a prime
+# modulus).  Every int among the arguments, alone or inside a tuple, is replaced
+# in turn; the rows that end in CAP give each enumerator's cap a slot.
 CALLS = [
     ("IntPoly", IntPoly, ((1, 2, 1),), ()),
     ("FlagShape", FlagShape, (4, (1, 3)), ()),
@@ -46,13 +74,59 @@ CALLS = [
     ("FpMatrix.identity", FpMatrix.identity, (3, 2), (0,)),
     ("Flag", Flag, (FlagShape(2, (1,)), 2, (FpMatrix(2, ((1,), (0,))),)), (1,)),
     ("CellForm", CellForm, (OrderedSetPartition(SHAPE, ((1, 2), (3,))), FpMatrix.identity(2, 3)), ()),
-    ("enumerate_general_linear", enumerate_general_linear, (2, 2), (1,)),
+    ("enumerate_general_linear", enumerate_general_linear, (2, 2, CAP), (1,)),
     ("reduced_echelon_bases", reduced_echelon_bases, (2, 1, 2), (2,)),
     ("tau_for_lambda", tau_for_lambda, (3, 1, 1), ()),
     ("psi", psi, (3, 2), ()),
     ("mahonian_coefficient", mahonian_coefficient, (SHAPE, 1), ()),
     ("denumerant", denumerant, (WeightVector((1, 2)), 2), ()),
+    ("IntPoly.monomial", IntPoly.monomial, (3, 2), ()),
+    ("factor_product", factor_product, ((2, 3), (1, 1), 6), ()),
+    ("FlagShape.full", FlagShape.full, (3,), ()),
+    ("all_shapes", all_shapes, (3,), ()),
+    ("q_int", q_int, (3,), ()),
+    ("q_factorial", q_factorial, (3,), ()),
+    ("q_binomial", q_binomial, (4, 2), ()),
+    ("q_binomial_at", q_binomial_at, (4, 2, 2), ()),
+    ("q_multinomial_at", q_multinomial_at, (FlagShape(4, (2,)), 2), ()),
+    ("q_multinomial_prefix", q_multinomial_prefix, (SHAPE, 1), ()),
+    ("partition_count", partition_count, (2, 3, 1), ()),
+    ("multiset_sum_poly", multiset_sum_poly, (2, 1, CAP), ()),
+    ("PsiTable.for_n", PsiTable.for_n, (3,), ()),
+    ("WeightVector.ones", WeightVector.ones, (2,), ()),
+    ("psi_prefix", psi_prefix, (3, 4), ()),
+    ("psi subset-oracle", psi, (3, 2, "subset-oracle", CAP), ()),
+    ("restricted_divisor_sum", restricted_divisor_sum, (6, 12), ()),
+    ("mahonian_via_denumerant", mahonian_via_denumerant, (SHAPE, 1), ()),
+    ("full_mahonian_via_binomials", full_mahonian_via_binomials, (3, 1), ()),
+    ("denumerant_bounds", denumerant_bounds, (SHAPE, 1), ()),
+    ("enumerate_words", enumerate_words, (SHAPE, CAP), ()),
+    ("inversion_distribution_oracle", inversion_distribution_oracle, (SHAPE, CAP), ()),
+    ("full_mahonian", full_mahonian, (3,), ()),
+    ("inv_bounds", inv_bounds, (SHAPE, 1), ()),
+    ("enumerate_partitions", enumerate_partitions, (SHAPE, CAP), ()),
+    ("cell_sum_poly", cell_sum_poly, (SHAPE, False, CAP), ()),
+    ("enumerate_flags", enumerate_flags, (FlagShape(2, (1,)), 2, CAP), (1,)),
+    ("flag_count_group_formula", flag_count_group_formula, (FlagShape(2, (1,)), 2), (1,)),
 ]
+
+# Public callables that take no integer argument, each with the reason.
+NO_INTEGER_ARGUMENT = {
+    "inversion_count": "reads any comparable sequence, not integer data",
+    "inversion_count_quadratic": "reads any comparable sequence, not integer data",
+    "log_concavity_scan": "reads any comparable sequence, not integer data",
+    "q_multinomial": "takes a FlagShape only, which checks its own integers",
+    "mahonian_table": "takes a FlagShape only, which checks its own integers",
+    "epsilon_weights": "takes a FlagShape only, which checks its own integers",
+    "is_refinement": "takes two FlagShapes only",
+    "refinement_recurrence": "takes two FlagShapes only",
+    "cell_dimension": "takes an OrderedSetPartition and the anti flag, a bool",
+    "theta_word": "takes an OrderedSetPartition only",
+    "s_reduce": "takes an FpMatrix and the anti flag, a bool",
+    "cell_form": "takes an FpMatrix, a FlagShape and the anti flag, a bool",
+    "is_parabolic_member": "takes an FpMatrix and a FlagShape only",
+    "phi_flag": "takes an FpMatrix and a FlagShape only",
+}
 
 
 def _int_slots(args, path=()):
@@ -113,7 +187,93 @@ def test_whole_numbers_become_ints_and_the_rest_is_refused(name, call, args, str
         else:
             out = _result(call, _replace(args, path, float(value)))
             assert out == expected, (name, path)
-            assert {type(x) for x in _stored(out)} <= {int, bool}, (name, path)  # CellForm.anti is a bool
+            # CellForm.anti is a bool; the bounds are exact fractions of ints
+            assert {type(x) for x in _stored(out)} <= {int, bool, Fraction}, (name, path)
         for bad in refused:
             with pytest.raises(ValidationError):
                 _result(call, _replace(args, path, bad))
+
+
+def test_table_covers_every_public_callable():
+    public = {
+        name
+        for name in qcomb.__all__
+        if callable(value := getattr(qcomb, name)) and not (isinstance(value, type) and issubclass(value, Exception))
+    } | {"q_multinomial_at", "q_binomial_at"}
+    rows = {name for name, *_ in CALLS}
+    assert public <= rows | set(NO_INTEGER_ARGUMENT)
+    assert not rows & set(NO_INTEGER_ARGUMENT)
+
+
+CAPPED = [row for row in CALLS if row[2][-1] == CAP]
+
+
+@pytest.mark.parametrize("name, call, args, strict", CAPPED, ids=[row[0] for row in CAPPED])
+def test_a_cap_below_one_is_refused(name, call, args, strict):
+    for cap in (0, -5):
+        with pytest.raises(ValidationError, match=f"^cap must be a positive integer, got {cap}$"):
+            _result(call, args[:-1] + (cap,))
+
+
+@pytest.mark.parametrize("outer", [None, 5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda outer: FpMatrix(2, outer),
+        lambda outer: OrderedSetPartition(SHAPE, outer),
+        lambda outer: Flag(FlagShape(2, (1,)), 2, outer),
+    ],
+    ids=["FpMatrix", "OrderedSetPartition", "Flag"],
+)
+def test_a_non_iterable_outer_sequence_is_refused(call, outer):
+    with pytest.raises(ValidationError, match="must be a sequence"):
+        call(outer)
+
+
+# Hand-written range checks the guard below allows, by module and compared expression.
+RANGE_CHECKS_ALLOWED = {
+    # `inv --k -1` exits 1 on every route: mahonian_coefficient alone would answer 0
+    ("cli.py", "args.k"),
+}
+
+
+def _range_checks(tree: ast.AST) -> Iterator[tuple[int, str]]:
+    """(line, expression) for each name or attribute that an `if` compares (<, <=,
+    >, >=) with 0 or 1, alone or in an `or`/`and`, when the `if` goes straight to
+    `raise ValidationError`."""
+    for node in ast.walk(tree):
+        first = node.body[0] if isinstance(node, ast.If) else None
+        if not (
+            isinstance(first, ast.Raise)
+            and isinstance(first.exc, ast.Call)
+            and getattr(first.exc.func, "id", None) == "ValidationError"
+        ):
+            continue
+        tests = node.test.values if isinstance(node.test, ast.BoolOp) else [node.test]
+        for test in tests:
+            if not (isinstance(test, ast.Compare) and len(test.ops) == 1):
+                continue
+            if not isinstance(test.ops[0], (ast.Lt, ast.LtE, ast.Gt, ast.GtE)):
+                continue
+            pair = (test.left, test.comparators[0])
+            for side, bound in (pair, pair[::-1]):
+                if (
+                    isinstance(side, (ast.Name, ast.Attribute))
+                    and isinstance(bound, ast.Constant)
+                    and type(bound.value) is int
+                    and bound.value in (0, 1)
+                ):
+                    yield node.lineno, ast.unparse(side)
+
+
+def test_no_range_check_is_written_out_by_hand():
+    """Every minimum of 0 or 1 goes through `require_int`; only `qcomb.errors` states it."""
+    sources = sorted(Path(qcomb.__file__).parent.glob("*.py"))
+    found = [
+        (path.name, line, expression)
+        for path in sources
+        if path.name != "errors.py"
+        for line, expression in _range_checks(ast.parse(path.read_text()))
+    ]
+    assert [site for site in found if site[::2] not in RANGE_CHECKS_ALLOWED] == []
+    assert {site[::2] for site in found} == RANGE_CHECKS_ALLOWED  # no exemption outlives its check
