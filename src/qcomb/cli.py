@@ -40,8 +40,8 @@ from .denumerant import (
     mahonian_via_denumerant,
     psi,
 )
-from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, require_int
-from .flagcells import _require_prime, cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
+from .errors import DEFAULT_CAP, SUITE_NAMES, ResourceLimitError, ValidationError, require_int, require_prime
+from .flagcells import cell_dimension, enumerate_flags, enumerate_partitions, tau_for_lambda
 from .inversions import inv_bounds, mahonian_coefficient, mahonian_table
 from .qanalogue import FlagShape, q_binomial, q_binomial_at
 
@@ -151,8 +151,7 @@ def _cmd_row(args) -> tuple[dict, int]:
 
 def _cmd_inv(args) -> tuple[dict, int]:
     shape = _parse_shape(args.n, args.d)
-    if args.k < 0:
-        raise ValidationError("inversion count must be nonnegative")
+    require_int(args.k, "inversion count", 0)  # -1 is an error on every route, not a count of 0
     if args.method == "table":
         value = mahonian_coefficient(shape, args.k)
     elif args.method == "denumerant":
@@ -189,7 +188,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 def _cmd_flags(args) -> tuple[dict, int]:
     shape = _parse_shape(args.n, args.d)
-    _require_prime(args.p)  # --cells never builds a matrix, so check p here for both modes
+    require_prime(args.p)  # --cells never builds a matrix, so check p here for both modes
     params = _shape_params(args, shape, "p")
     if args.cells:
         rows = []

@@ -45,9 +45,9 @@ class WeightVector:
     weights: tuple[int, ...]
 
     def __init__(self, weights: Sequence[int]):
-        data = require_ints(weights, "weights")
-        if not data or min(data) < 1:
-            raise ValidationError(f"weights must be a nonempty tuple of positive integers, got {data}")
+        data = require_ints(weights, "weights", 1)
+        if not data:
+            raise ValidationError("weights must be a nonempty tuple of positive integers, got ()")
         object.__setattr__(self, "weights", data)
 
     @classmethod
@@ -155,10 +155,10 @@ def psi(n: int, r: int, method: str = "fn-coefficients", cap: int = DEFAULT_CAP)
     """Coefficient of t^r in (1-t)(1-t^2)...(1-t^n), by the chosen route.
 
     The pentagonal route is only valid for 1 <= r <= n; the subset oracle
-    enumerates 2^n signed subsets and is capped; the exp-log route works in
-    integers and insists that each step of its recurrence divide exactly.
+    enumerates 2^n signed subsets under the cap, which every route checks; the
+    exp-log route works in integers and insists that each step divide exactly.
     """
-    n, r = require_int(n, "psi n", 1), require_int(r, "psi index")
+    n, r, cap = require_int(n, "psi n", 1), require_int(r, "psi index"), require_int(cap, "cap", 1)
     if method not in PSI_METHODS:
         raise ValidationError(f"unknown psi method {method!r}; choose from {PSI_METHODS}")
     top = n * (n + 1) // 2

@@ -9,10 +9,11 @@ The integer rule: where the library takes integer data (a size, an index, a
 weight, a coefficient, an entry), a whole number is stored as `int` and
 anything else (1.5, "2", None, NaN, +-inf, a non-iterable where a sequence
 is due) raises ValidationError.  `require_int`, `require_ints` and
-`require_sequence` state it for every public entry point; trusted builds of
-checked data skip it.  `check_cap` is the one place the cap rule lives: a cap
-is a positive integer.  The prime modulus, `flagcells._require_prime`, is
-stricter: it must be an `int` itself, so 2.0 is refused.
+`require_sequence` state it for every public entry point, the first two with
+the minimum (0 or 1) of a size, a count or a weight; trusted builds of checked
+data skip it.  `check_cap` is the one place the cap rule lives: a cap is a
+positive integer.  The prime rule, `require_prime`, is stricter: the modulus
+must be an `int` itself, so 2.0 is refused, and a prime below 2^64.
 """
 
 from operator import attrgetter, index
@@ -29,8 +30,10 @@ class ResourceLimitError(RuntimeError):
 
 DEFAULT_CAP = 10**6
 
-# How `require_int` names each minimum it is given.
-_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+# How `require_int` and `require_ints` name each minimum they are given.
+_KINDS = {None: ("an integer", "integers"), 0: ("a nonnegative integer", "nonnegative integers"),
+          1: ("a positive integer", "positive integers")}
+_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))  # require_prime's divisors and bases
 
 # The verify suites, one per layer, listed where the CLI reads them without the registry.
 SUITE_NAMES = ("qanalogue", "inversions", "denumerant", "flagcells")
@@ -59,41 +62,45 @@ def require_int(value, what: str, minimum: int | None = None) -> int:
             return number
     except (TypeError, ValueError, OverflowError):  # no int() at all: None, "x", NaN, an infinity
         pass
-    raise ValidationError(f"{what} must be {_KINDS[minimum]}, got {value!r}")
+    raise ValidationError(f"{what} must be {_KINDS[minimum][0]}, got {value!r}")
 
 
-def require_ints(values, what: str) -> tuple[int, ...]:
+def require_ints(values, what: str, minimum: int | None = None) -> tuple[int, ...]:
     """The entries of the iterable `values` as a tuple of ints if every one is a
-    whole number; else ValidationError naming `what`.  No Python-level step is
-    taken per entry: `operator.index` converts a row of ints in C, and a row it
-    refuses, say one holding 2.0, is converted by `int` and must equal the row given.
+    whole number, and at least `minimum` (None, 0 or 1) when one is given; else
+    ValidationError naming `what`.  No Python-level step is taken per entry:
+    `operator.index` converts a row of ints in C, and a row it refuses, say one
+    holding 2.0, is converted by `int` and must equal the row given.
 
-    >>> require_ints([2.0, 3, -1], "weights")
-    (2, 3, -1)
-    >>> for values in [(1.5, 2), ["2"], iter([None]), (float("inf"),), 5]:
+    >>> require_ints([2.0, 3, -1], "weights"), require_ints((), "weights", 1)
+    ((2, 3, -1), ())
+    >>> for values, minimum in [((1.5, 2), None), (["2"], 0), (iter([None]), None),
+    ...                         ((float("inf"),), 1), (5, None), ((2.0, 0), 1)]:
     ...     try:
-    ...         require_ints(values, "weights")
+    ...         require_ints(values, "weights", minimum)
     ...     except ValidationError as exc:
     ...         print(exc)
     weights must be integers, got (1.5, 2)
-    weights must be integers, got ('2',)
+    weights must be nonnegative integers, got ('2',)
     weights must be integers, got (None,)
-    weights must be integers, got (inf,)
+    weights must be positive integers, got (inf,)
     weights must be integers, got 5
+    weights must be positive integers, got (2.0, 0)
     """
     raw = values
     try:  # operator.index takes ints and int-likes only, at about twice the speed of int()
         raw = tuple(values)
-        return tuple(map(index, raw))
+        data = tuple(map(index, raw))
     except TypeError:  # a float or anything else that is no int; or `values` is not iterable
-        pass
-    try:
-        data = tuple(map(int, raw))
-        if data == raw:
-            return data
-    except (TypeError, ValueError, OverflowError):  # as in require_int
-        pass
-    raise ValidationError(f"{what} must be integers, got {raw!r}")
+        try:
+            data = tuple(map(int, raw))
+        except (TypeError, ValueError, OverflowError):  # as in require_int
+            data = None
+        if data != raw:
+            data = None
+    if data is not None and (minimum is None or min(data, default=minimum) >= minimum):
+        return data
+    raise ValidationError(f"{what} must be {_KINDS[minimum][1]}, got {raw!r}")
 
 
 def require_sequence(values, what: str) -> tuple:
@@ -102,6 +109,41 @@ def require_sequence(values, what: str) -> tuple:
         return tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be a sequence, got {values!r}") from None
+
+
+def require_prime(p: int) -> None:
+    """Reject p unless it is an `int` and a prime below 2^64.
+
+    Trial division by the primes up to 37 decides every p < 37^2; above
+    that, a strong-probable-prime test to those twelve bases (deterministic
+    Miller-Rabin) is exact for every p < 2^64.
+    """
+    if not isinstance(p, int):  # 2.0 == 2 would pass the membership test
+        raise ValidationError(f"modulus must be an integer, got {p!r}")
+    if p in _SMALL_PRIMES:
+        return
+    if p >= 1 << 64:
+        raise ValidationError(f"modulus must be below 2^64, got {p}")
+    composite = p < 2 or any(p % q == 0 for q in _SMALL_PRIMES)
+    if composite or (p >= 37 * 37 and not _strong_probable_prime(p)):
+        raise ValidationError(f"modulus must be prime, got {p}")
+
+
+def _strong_probable_prime(p: int) -> bool:
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def check_cap(cap: int, what: str, bits: int, count: Callable[[], int] | None = None) -> None:

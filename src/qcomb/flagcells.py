@@ -31,48 +31,11 @@ from bisect import bisect_left, bisect_right
 from operator import lt, mul
 from typing import Iterator, Sequence
 
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints, require_sequence
+from .errors import (DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints, require_prime,
+                     require_sequence)
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial_at
-
-
-_SMALL_PRIMES = frozenset((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
-
-
-def _require_prime(p: int) -> None:
-    """Reject p unless it is a prime below 2^64.
-
-    Trial division by the primes up to 37 decides every p < 37^2; above
-    that, a strong-probable-prime test to those twelve bases (deterministic
-    Miller-Rabin) is exact for every p < 2^64.
-    """
-    if not isinstance(p, int):  # 2.0 == 2 would pass the membership test
-        raise ValidationError(f"modulus must be an integer, got {p!r}")
-    if p in _SMALL_PRIMES:
-        return
-    if p >= 1 << 64:
-        raise ValidationError(f"modulus must be below 2^64, got {p}")
-    composite = p < 2 or any(p % q == 0 for q in _SMALL_PRIMES)
-    if composite or (p >= 37 * 37 and not _strong_probable_prime(p)):
-        raise ValidationError(f"modulus must be prime, got {p}")
-
-
-def _strong_probable_prime(p: int) -> bool:
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _SMALL_PRIMES:
-        x = pow(a, d, p)
-        if x in (1, p - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
-                break
-        else:
-            return False
-    return True
 
 
 @frozen
@@ -83,7 +46,7 @@ class FpMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __init__(self, p: int, rows: Sequence[Sequence[int]]):
-        _require_prime(p)
+        require_prime(p)
         data = tuple(require_ints(row, "matrix entries") for row in require_sequence(rows, "matrix rows"))
         if data and any(len(row) != len(data[0]) for row in data):
             raise ValidationError("ragged rows in matrix")
@@ -246,7 +209,7 @@ def _column_reduce(
 
 
 def _require_square(A: FpMatrix, n: int) -> None:
-    if A.rows != n or A.cols != n:
+    if not isinstance(A, FpMatrix) or A.rows != n or A.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
 
 
@@ -279,9 +242,8 @@ class OrderedSetPartition:
                 raise ValidationError(f"block {block} should have {size} elements")
             if not all(map(lt, block, block[1:])):
                 raise ValidationError(f"block {block} must be strictly increasing")
-        # the sizes add up to n, so n distinct values in 1..n are exactly 1..n
-        seen = set().union(*data)
-        if len(seen) != shape.n or min(seen) < 1 or max(seen) > shape.n:
+        # the sizes add up to n, so the blocks partition 1..n when their union is 1..n
+        if set().union(*data) != set(range(1, shape.n + 1)):
             raise ValidationError("blocks must partition 1..n")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "blocks", data)
@@ -511,14 +473,14 @@ class Flag:
     bases: tuple[FpMatrix, ...]
 
     def __init__(self, shape: FlagShape, p: int, bases: Sequence[FpMatrix]):
-        _require_prime(p)
+        require_prime(p)
         data = require_sequence(bases, "bases")
         if len(data) != shape.r:
             raise ValidationError(f"expected {shape.r} subspaces, got {len(data)}")
         previous: FpMatrix | None = None
         for dim, basis in zip(shape.d, data):
-            if basis.p != p or basis.rows != shape.n or basis.cols != dim:
-                raise ValidationError("basis dimensions do not match the shape")
+            if not isinstance(basis, FpMatrix) or basis.p != p or basis.rows != shape.n or basis.cols != dim:
+                raise ValidationError("basis type or dimensions do not match the shape")
             if basis.rank() != dim:
                 raise ValidationError("basis matrix is rank deficient")
             if previous is not None and basis.hstack(previous).rank() != dim:
@@ -553,7 +515,7 @@ def phi_flag(A: FpMatrix, shape: FlagShape) -> Flag:
 def reduced_echelon_bases(n: int, e: int, p: int) -> Iterator[FpMatrix]:
     """Every n x e matrix in reduced column-echelon form, i.e. every
     e-dimensional subspace of F_p^n exactly once."""
-    _require_prime(p)
+    require_prime(p)
     n, e = require_int(n, "n", 0), require_int(e, "e", 0)
     for pivots in itertools.combinations(range(1, n + 1), e):
         pivot_set = set(pivots)
@@ -594,7 +556,7 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
     chains end in the smaller basis.  Flags are built unchecked;
     test_enumerated_objects_match_public_constructors pins them.
     """
-    _require_prime(p)
+    require_prime(p)
     check_cap(cap, "flag enumeration", shape.nu,  # a monic degree-nu count at p: >= 2^nu
               lambda: flag_count_group_formula(shape, p))
     zero = (0,) * shape.n
@@ -631,7 +593,7 @@ def flag_count_group_formula(shape: FlagShape, p: int) -> int:
     p^(nu + sum e(e-1)/2) = p^(n(n-1)/2).  The power of p cancels, which
     leaves the q-multinomial at q = p, computed by `q_multinomial_at`.
     """
-    _require_prime(p)
+    require_prime(p)
     return q_multinomial_at(shape, p)
 
 
@@ -642,7 +604,7 @@ def enumerate_general_linear(n: int, p: int, cap: int = DEFAULT_CAP) -> Iterator
     rows above it, taken in lex order, and `_widen` adds it to that span for
     the rows below.  The last row's span is never built.
     """
-    _require_prime(p)
+    require_prime(p)
     n = require_int(n, "matrix size", 0)
     check_cap(cap, "general linear group enumeration", n * (n - 1),  # each p^n - p^i >= 2^(n-1)
               lambda: math.prod(p**n - p**i for i in range(n)))

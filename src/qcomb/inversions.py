@@ -49,12 +49,10 @@ class MahonianTable:
     counts: tuple[int, ...]
 
     def __init__(self, shape: FlagShape, counts: Sequence[int]):
-        data = require_ints(counts, "inversion counts")
+        data = require_ints(counts, "inversion counts", 1)
         nu = shape.nu
         if len(data) != nu + 1:
             raise ValidationError(f"table must cover 0..{nu}, got {len(data)} entries")
-        if min(data) < 1:
-            raise ValidationError("inversion counts must be positive across 0..nu")
         if data != data[::-1]:
             raise ValidationError("inversion table must be symmetric")
         if sum(data) != shape.multinomial():

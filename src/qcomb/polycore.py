@@ -176,10 +176,8 @@ def factor_product(num: Iterable[int], den: Iterable[int], order: int) -> list[i
     >>> factor_product((2, 3), (1, 1), 6)
     [1, 2, 2, 1, 0, 0, 0]
     """
-    num, den = require_ints(num, "factor exponents"), require_ints(den, "factor exponents")
+    num, den = require_ints(num, "factor exponents", 1), require_ints(den, "factor exponents", 1)
     order = require_int(order, "truncation order", 0)
-    if min(num + den, default=1) < 1:
-        raise ValidationError(f"factor exponents must be positive integers, got {min(num + den)}")
     # The list is allocated before any shift, so a row too long to hold ends
     # in MemoryError here, never in an OverflowError from a shift count.
     out = [1] + [0] * order

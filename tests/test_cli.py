@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import subprocess
@@ -47,7 +48,7 @@ def test_inv_routes_agree(capsys):
 def test_inv_rejects_negative_k_on_every_route(method, capsys):
     code, out, err = run_cli(["inv", "4", "--d", "1,2,3", "--k", "-1", "--method", method], capsys)
     assert (code, out) == (1, "")
-    assert "inversion count must be nonnegative" in err
+    assert "inversion count must be a nonnegative integer, got -1" in err
 
 
 def test_inv_binomial_route_requires_full_cuts(capsys):
@@ -196,6 +197,32 @@ def test_usage_error_exit_code(capsys):
         cli.run(["inv", "5"])  # --k is required
     assert info.value.code == 1
     assert "--k" in capsys.readouterr().err
+
+
+# `qcomb --help`, each subcommand's --help and one usage error, keyed by argv:
+# exit status, stdout and stderr, byte for byte, at an 80-column terminal.
+HELP_TEXTS = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("argv", HELP_TEXTS)
+def test_help_and_usage_text_is_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps to the terminal width
+    with pytest.raises(SystemExit) as info:
+        cli.run(argv.split())
+    captured = capsys.readouterr()
+    assert {"exit": info.value.code, "stdout": captured.out, "stderr": captured.err} == HELP_TEXTS[argv]
+
+
+def test_cli_imports_no_private_name_from_the_library():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("qcomb"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_verify_passes(capsys):

@@ -39,7 +39,8 @@ from qcomb import (
     tau_for_lambda,
     theta_word,
 )
-from qcomb.flagcells import _require_prime, _widen
+from qcomb.errors import require_prime
+from qcomb.flagcells import _widen
 
 RNG_SEED = 52462280
 
@@ -755,7 +756,7 @@ def test_require_prime_is_exact():
 
 def _is_accepted(q):
     try:
-        _require_prime(q)
+        require_prime(q)
     except ValidationError:
         return False
     return True

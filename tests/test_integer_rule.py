@@ -26,6 +26,7 @@ from qcomb import (
     ValidationError,
     WeightVector,
     all_shapes,
+    cell_form,
     cell_sum_poly,
     denumerant,
     denumerant_bounds,
@@ -39,10 +40,12 @@ from qcomb import (
     full_mahonian_via_binomials,
     inv_bounds,
     inversion_distribution_oracle,
+    is_parabolic_member,
     mahonian_coefficient,
     mahonian_via_denumerant,
     multiset_sum_poly,
     partition_count,
+    phi_flag,
     psi,
     psi_prefix,
     q_binomial,
@@ -96,6 +99,9 @@ CALLS = [
     ("WeightVector.ones", WeightVector.ones, (2,), ()),
     ("psi_prefix", psi_prefix, (3, 4), ()),
     ("psi subset-oracle", psi, (3, 2, "subset-oracle", CAP), ()),
+    ("psi fn-coefficients", psi, (3, 2, "fn-coefficients", CAP), ()),
+    ("psi pentagonal", psi, (3, 2, "pentagonal", CAP), ()),
+    ("psi exp-log", psi, (3, 2, "exp-log", CAP), ()),
     ("restricted_divisor_sum", restricted_divisor_sum, (6, 12), ()),
     ("mahonian_via_denumerant", mahonian_via_denumerant, (SHAPE, 1), ()),
     ("full_mahonian_via_binomials", full_mahonian_via_binomials, (3, 1), ()),
@@ -230,17 +236,24 @@ def test_a_non_iterable_outer_sequence_is_refused(call, outer):
         call(outer)
 
 
-# Hand-written range checks the guard below allows, by module and compared expression.
-RANGE_CHECKS_ALLOWED = {
-    # `inv --k -1` exits 1 on every route: mahonian_coefficient alone would answer 0
-    ("cli.py", "args.k"),
-}
+def test_a_non_matrix_is_refused():
+    sigma = OrderedSetPartition(SHAPE, ((1, 2), (3,)))
+    calls = [
+        lambda: CellForm(sigma, None),
+        lambda: cell_form(None, SHAPE),
+        lambda: phi_flag(None, SHAPE),
+        lambda: is_parabolic_member(None, SHAPE),
+        lambda: Flag(FlagShape(2, (1,)), 2, [None]),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="matrix|basis"):
+            call()
 
 
 def _range_checks(tree: ast.AST) -> Iterator[tuple[int, str]]:
-    """(line, expression) for each name or attribute that an `if` compares (<, <=,
-    >, >=) with 0 or 1, alone or in an `or`/`and`, when the `if` goes straight to
-    `raise ValidationError`."""
+    """(line, expression) for each name, attribute or `min(...)` call that an `if`
+    compares (<, <=, >, >=) with 0 or 1, alone or in an `or`/`and`, when the `if`
+    goes straight to `raise ValidationError`."""
     for node in ast.walk(tree):
         first = node.body[0] if isinstance(node, ast.If) else None
         if not (
@@ -257,8 +270,9 @@ def _range_checks(tree: ast.AST) -> Iterator[tuple[int, str]]:
                 continue
             pair = (test.left, test.comparators[0])
             for side, bound in (pair, pair[::-1]):
+                is_min = isinstance(side, ast.Call) and getattr(side.func, "id", None) == "min"
                 if (
-                    isinstance(side, (ast.Name, ast.Attribute))
+                    (is_min or isinstance(side, (ast.Name, ast.Attribute)))
                     and isinstance(bound, ast.Constant)
                     and type(bound.value) is int
                     and bound.value in (0, 1)
@@ -267,7 +281,8 @@ def _range_checks(tree: ast.AST) -> Iterator[tuple[int, str]]:
 
 
 def test_no_range_check_is_written_out_by_hand():
-    """Every minimum of 0 or 1 goes through `require_int`; only `qcomb.errors` states it."""
+    """Every minimum of 0 or 1 goes through `require_int` or `require_ints`; only
+    `qcomb.errors` states it."""
     sources = sorted(Path(qcomb.__file__).parent.glob("*.py"))
     found = [
         (path.name, line, expression)
@@ -275,5 +290,4 @@ def test_no_range_check_is_written_out_by_hand():
         if path.name != "errors.py"
         for line, expression in _range_checks(ast.parse(path.read_text()))
     ]
-    assert [site for site in found if site[::2] not in RANGE_CHECKS_ALLOWED] == []
-    assert {site[::2] for site in found} == RANGE_CHECKS_ALLOWED  # no exemption outlives its check
+    assert found == []
