@@ -5,121 +5,18 @@ Sylvester denumerants, and cell decompositions of flag spaces over prime
 fields, with brute-force oracles for every identity at desk scale.
 """
 
-from .errors import DEFAULT_CAP, ResourceLimitError, ValidationError
-from .polycore import IntPoly, factor_product
-from .qanalogue import (
-    FlagShape,
-    all_shapes,
-    multiset_sum_poly,
-    partition_count,
-    q_binomial,
-    q_factorial,
-    q_int,
-    q_multinomial,
-    q_multinomial_prefix,
-)
-from .denumerant import (
-    PsiTable,
-    WeightVector,
-    denumerant,
-    denumerant_bounds,
-    epsilon_weights,
-    full_mahonian_via_binomials,
-    mahonian_via_denumerant,
-    psi,
-    psi_prefix,
-    restricted_divisor_sum,
-)
-from .inversions import (
-    MahonianTable,
-    MultisetWord,
-    enumerate_words,
-    full_mahonian,
-    inv_bounds,
-    inversion_count,
-    inversion_count_quadratic,
-    inversion_distribution_oracle,
-    is_refinement,
-    log_concavity_scan,
-    mahonian_coefficient,
-    mahonian_table,
-    refinement_recurrence,
-)
-from .flagcells import (
-    CellForm,
-    Flag,
-    FpMatrix,
-    OrderedSetPartition,
-    cell_dimension,
-    cell_form,
-    cell_sum_poly,
-    enumerate_flags,
-    enumerate_general_linear,
-    enumerate_partitions,
-    flag_count_group_formula,
-    is_parabolic_member,
-    phi_flag,
-    reduced_echelon_bases,
-    s_reduce,
-    tau_for_lambda,
-    theta_word,
-)
+from sys import modules as _modules
+
+from .errors import *
+from .polycore import *
+from .qanalogue import *
+from .denumerant import *
+from .inversions import *
+from .flagcells import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_CAP",
-    "ResourceLimitError",
-    "ValidationError",
-    "IntPoly",
-    "factor_product",
-    "FlagShape",
-    "all_shapes",
-    "multiset_sum_poly",
-    "partition_count",
-    "q_binomial",
-    "q_factorial",
-    "q_int",
-    "q_multinomial",
-    "q_multinomial_prefix",
-    "PsiTable",
-    "WeightVector",
-    "denumerant",
-    "denumerant_bounds",
-    "epsilon_weights",
-    "full_mahonian_via_binomials",
-    "mahonian_via_denumerant",
-    "psi",
-    "psi_prefix",
-    "restricted_divisor_sum",
-    "MahonianTable",
-    "MultisetWord",
-    "enumerate_words",
-    "full_mahonian",
-    "inv_bounds",
-    "inversion_count",
-    "inversion_count_quadratic",
-    "inversion_distribution_oracle",
-    "is_refinement",
-    "log_concavity_scan",
-    "mahonian_coefficient",
-    "mahonian_table",
-    "refinement_recurrence",
-    "CellForm",
-    "Flag",
-    "FpMatrix",
-    "OrderedSetPartition",
-    "cell_dimension",
-    "cell_form",
-    "cell_sum_poly",
-    "enumerate_flags",
-    "enumerate_general_linear",
-    "enumerate_partitions",
-    "flag_count_group_formula",
-    "is_parabolic_member",
-    "phi_flag",
-    "reduced_echelon_bases",
-    "s_reduce",
-    "tau_for_lambda",
-    "theta_word",
-]
+# Each module's own `__all__` is what the package exports.  The lists are read
+# from sys.modules, because the function `denumerant` shadows its submodule here.
+__all__ = [name for module in ("errors", "polycore", "qanalogue", "denumerant", "inversions", "flagcells")
+           for name in _modules[f"{__name__}.{module}"].__all__]

@@ -35,6 +35,19 @@ from .qanalogue import FlagShape, _ramp
 if TYPE_CHECKING:
     from fractions import Fraction
 
+__all__ = [
+    "PsiTable",
+    "WeightVector",
+    "denumerant",
+    "denumerant_bounds",
+    "epsilon_weights",
+    "full_mahonian_via_binomials",
+    "mahonian_via_denumerant",
+    "psi",
+    "psi_prefix",
+    "restricted_divisor_sum",
+]
+
 PSI_METHODS = ("subset-oracle", "fn-coefficients", "pentagonal", "exp-log")
 
 

@@ -11,13 +11,21 @@ anything else (1.5, "2", None, NaN, +-inf, a non-iterable where a sequence
 is due) raises ValidationError.  `require_int`, `require_ints` and
 `require_sequence` state it for every public entry point, the first two with
 the minimum (0 or 1) of a size, a count or a weight; trusted builds of checked
-data skip it.  `check_cap` is the one place the cap rule lives: a cap is a
-positive integer.  The prime rule, `require_prime`, is stricter: the modulus
-must be an `int` itself, so 2.0 is refused, and a prime below 2^64.
+data skip it.  The type rule, `require_instance`, refuses an object argument (a
+shape, a partition, a matrix) that is not of its class.  `check_cap` is the one
+place the cap rule lives: a cap is a positive integer.  The prime rule,
+`require_prime`, is stricter: the modulus must be an `int` itself, so 2.0 is
+refused, and a prime below 2^64.
 """
 
 from operator import attrgetter, index
 from typing import Callable
+
+__all__ = [
+    "DEFAULT_CAP",
+    "ResourceLimitError",
+    "ValidationError",
+]
 
 
 class ValidationError(ValueError):
@@ -109,6 +117,13 @@ def require_sequence(values, what: str) -> tuple:
         return tuple(values)
     except TypeError:
         raise ValidationError(f"{what} must be a sequence, got {values!r}") from None
+
+
+def require_instance(value, cls: type, what: str):
+    """`value` itself if it is an instance of `cls`; else ValidationError naming `what`."""
+    if isinstance(value, cls):
+        return value
+    raise ValidationError(f"{what} must be of type {cls.__name__}, got {value!r}")
 
 
 def require_prime(p: int) -> None:

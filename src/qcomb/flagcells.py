@@ -31,11 +31,31 @@ from bisect import bisect_left, bisect_right
 from operator import lt, mul
 from typing import Iterator, Sequence
 
-from .errors import (DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints, require_prime,
-                     require_sequence)
+from .errors import (DEFAULT_CAP, ValidationError, check_cap, frozen, require_instance, require_int, require_ints,
+                     require_prime, require_sequence)
 from .inversions import MultisetWord
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial_at
+
+__all__ = [
+    "CellForm",
+    "Flag",
+    "FpMatrix",
+    "OrderedSetPartition",
+    "cell_dimension",
+    "cell_form",
+    "cell_sum_poly",
+    "enumerate_flags",
+    "enumerate_general_linear",
+    "enumerate_partitions",
+    "flag_count_group_formula",
+    "is_parabolic_member",
+    "phi_flag",
+    "reduced_echelon_bases",
+    "s_reduce",
+    "tau_for_lambda",
+    "theta_word",
+]
 
 
 @frozen
@@ -209,7 +229,7 @@ def _column_reduce(
 
 
 def _require_square(A: FpMatrix, n: int) -> None:
-    if not isinstance(A, FpMatrix) or A.rows != n or A.cols != n:
+    if require_instance(A, FpMatrix, "matrix").rows != n or A.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
 
 
@@ -314,6 +334,7 @@ def cell_dimension(sigma: OrderedSetPartition, anti: bool = False) -> int:
     >>> cell_dimension(sigma), cell_dimension(sigma, anti=True)
     (2, 0)
     """
+    require_instance(sigma, OrderedSetPartition, "partition")
     lam = 0
     pool: list[int] = []  # the rows of the blocks after the current one, sorted
     for block in reversed(sigma.blocks):
@@ -479,8 +500,8 @@ class Flag:
             raise ValidationError(f"expected {shape.r} subspaces, got {len(data)}")
         previous: FpMatrix | None = None
         for dim, basis in zip(shape.d, data):
-            if not isinstance(basis, FpMatrix) or basis.p != p or basis.rows != shape.n or basis.cols != dim:
-                raise ValidationError("basis type or dimensions do not match the shape")
+            if require_instance(basis, FpMatrix, "basis").p != p or basis.rows != shape.n or basis.cols != dim:
+                raise ValidationError("basis dimensions do not match the shape")
             if basis.rank() != dim:
                 raise ValidationError("basis matrix is rank deficient")
             if previous is not None and basis.hstack(previous).rank() != dim:

@@ -14,12 +14,29 @@ from collections import Counter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .denumerant import _over_block_factorials, _psi_binomial_sums
-from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints
+from .errors import (DEFAULT_CAP, ValidationError, check_cap, frozen, require_instance, require_int, require_ints,
+                     require_sequence)
 from .polycore import IntPoly
 from .qanalogue import FlagShape, q_multinomial, q_multinomial_prefix
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+__all__ = [
+    "MahonianTable",
+    "MultisetWord",
+    "enumerate_words",
+    "full_mahonian",
+    "inv_bounds",
+    "inversion_count",
+    "inversion_count_quadratic",
+    "inversion_distribution_oracle",
+    "is_refinement",
+    "log_concavity_scan",
+    "mahonian_coefficient",
+    "mahonian_table",
+    "refinement_recurrence",
+]
 
 
 @frozen
@@ -110,7 +127,7 @@ def inversion_count(word: MultisetWord | Sequence[int]) -> int:
     binary search.  The quadratic counter below is the oracle it is checked
     against.
     """
-    letters = word.letters if isinstance(word, MultisetWord) else tuple(word)
+    letters = word.letters if isinstance(word, MultisetWord) else require_sequence(word, "word")
     seen: list[int] = []
     total = 0
     for x in reversed(letters):
@@ -122,7 +139,7 @@ def inversion_count(word: MultisetWord | Sequence[int]) -> int:
 
 def inversion_count_quadratic(word: MultisetWord | Sequence[int]) -> int:
     """Direct O(n^2) pair scan."""
-    letters = word.letters if isinstance(word, MultisetWord) else tuple(word)
+    letters = word.letters if isinstance(word, MultisetWord) else require_sequence(word, "word")
     n = len(letters)
     return sum(
         1 for i in range(n) for j in range(i + 1, n) if letters[i] > letters[j]
@@ -138,6 +155,7 @@ def inversion_distribution_oracle(shape: FlagShape, cap: int = DEFAULT_CAP) -> I
 
 def mahonian_table(shape: FlagShape) -> MahonianTable:
     """Inversion counts read off the q-multinomial coefficient; no enumeration."""
+    require_instance(shape, FlagShape, "shape")
     return MahonianTable(shape, q_multinomial_prefix(shape, shape.nu))
 
 
@@ -159,6 +177,8 @@ def full_mahonian(n: int) -> MahonianTable:
 
 def is_refinement(shape: FlagShape, refined: FlagShape) -> bool:
     """True iff the refined cut sequence contains every cut of `shape`."""
+    require_instance(shape, FlagShape, "shape")
+    require_instance(refined, FlagShape, "refined shape")
     return shape.n == refined.n and set(shape.d) <= set(refined.d)
 
 

@@ -33,6 +33,11 @@ from typing import Iterable
 
 from .errors import ValidationError, frozen, require_int, require_ints
 
+__all__ = [
+    "IntPoly",
+    "factor_product",
+]
+
 # Degree reported for the zero polynomial: a sentinel strictly below every
 # attainable degree, so degree comparisons never need a special case.
 ZERO_DEGREE = -1

@@ -34,6 +34,20 @@ from typing import Iterator
 from .errors import DEFAULT_CAP, ValidationError, check_cap, frozen, require_int, require_ints
 from .polycore import IntPoly, _mirrored_prefix
 
+__all__ = [
+    "FlagShape",
+    "all_shapes",
+    "multiset_sum_poly",
+    "partition_count",
+    "q_binomial",
+    "q_binomial_at",
+    "q_factorial",
+    "q_int",
+    "q_multinomial",
+    "q_multinomial_at",
+    "q_multinomial_prefix",
+]
+
 
 @frozen
 class FlagShape:

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,11 @@ from qcomb.verification import CheckResult
 
 if hasattr(sys, "set_int_max_str_digits"):  # some expected values below exceed 4300 digits
     sys.set_int_max_str_digits(0)
+
+
+# The environment of a child `python -m qcomb.cli`: this one, with PYTHONPATH set
+# to this checkout's src/, so the child finds qcomb however the tests were started.
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
 
 
 def run_cli(argv, capsys):
@@ -297,6 +303,7 @@ def test_module_entry_point():
         [sys.executable, "-m", "qcomb.cli", "psi", "6", "7", "--format", "csv"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout == "value\n2\n"
@@ -498,7 +505,7 @@ def _single_block_lower_bound(n, k):
 )
 def test_large_arguments_end_quickly(argv, code, first_row):
     proc = subprocess.run(
-        [sys.executable, "-m", "qcomb.cli", *argv], capture_output=True, text=True, timeout=10
+        [sys.executable, "-m", "qcomb.cli", *argv], capture_output=True, text=True, env=SRC_ENV, timeout=10
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr

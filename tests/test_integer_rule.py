@@ -26,6 +26,7 @@ from qcomb import (
     ValidationError,
     WeightVector,
     all_shapes,
+    cell_dimension,
     cell_form,
     cell_sum_poly,
     denumerant,
@@ -39,9 +40,13 @@ from qcomb import (
     full_mahonian,
     full_mahonian_via_binomials,
     inv_bounds,
+    inversion_count,
+    inversion_count_quadratic,
     inversion_distribution_oracle,
     is_parabolic_member,
+    is_refinement,
     mahonian_coefficient,
+    mahonian_table,
     mahonian_via_denumerant,
     multiset_sum_poly,
     partition_count,
@@ -49,14 +54,15 @@ from qcomb import (
     psi,
     psi_prefix,
     q_binomial,
+    q_binomial_at,
     q_factorial,
     q_int,
+    q_multinomial_at,
     q_multinomial_prefix,
     reduced_echelon_bases,
     restricted_divisor_sum,
     tau_for_lambda,
 )
-from qcomb.qanalogue import q_binomial_at, q_multinomial_at
 
 SHAPE = FlagShape(3, (2,))
 CAP = DEFAULT_CAP
@@ -205,7 +211,7 @@ def test_table_covers_every_public_callable():
         name
         for name in qcomb.__all__
         if callable(value := getattr(qcomb, name)) and not (isinstance(value, type) and issubclass(value, Exception))
-    } | {"q_multinomial_at", "q_binomial_at"}
+    }
     rows = {name for name, *_ in CALLS}
     assert public <= rows | set(NO_INTEGER_ARGUMENT)
     assert not rows & set(NO_INTEGER_ARGUMENT)
@@ -248,6 +254,21 @@ def test_a_non_matrix_is_refused():
     for call in calls:
         with pytest.raises(ValidationError, match="matrix|basis"):
             call()
+
+
+WRONG_TYPES = [
+    (mahonian_table, (None,)),
+    (is_refinement, (SHAPE, None)),
+    (cell_dimension, (None,)),
+    (inversion_count, (None,)),
+    (inversion_count_quadratic, (None,)),
+]
+
+
+@pytest.mark.parametrize("call, args", WRONG_TYPES, ids=[call.__name__ for call, _ in WRONG_TYPES])
+def test_an_object_of_the_wrong_type_is_refused(call, args):
+    with pytest.raises(ValidationError, match="must be (of type|a sequence)"):
+        call(*args)
 
 
 def _range_checks(tree: ast.AST) -> Iterator[tuple[int, str]]:
