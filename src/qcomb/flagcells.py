@@ -6,19 +6,19 @@ block-upper-triangular subgroup fixes the flag, and each coset contains a
 unique representative in a normal form indexed by an ordered set partition
 of the row indices: each block's columns are in reduced column-echelon form
 with pivot rows given by the block, and rows claimed by earlier blocks are
-zeroed out.  One column elimination, `_column_reduce`, computes every normal
-form: `_reduce_blocks` runs it block by block, recording each column
-operation in the transition matrix g; `s_reduce` is its one-block case and
-`cell_form` its shape case.  The number of unconstrained entries of that
-normal form is the cell dimension, and transporting the partition to a
-multiset word turns the dimension into an inversion count.  `cell_sum_poly`
-sums the dimensions without building a partition: by the level rule in its
-docstring each block's choice of positions gains a fixed amount, and a
-depth-first walk makes one histogram increment per partition, never
-convolving the levels.  `FpMatrix.rank` and `inverse` both read one row
-elimination, `_row_reduce` (Gauss-Jordan), which shares no code with
-`_column_reduce` because the `cell-decomposition` and `coset-law` checks use
-them to check `_column_reduce`'s output.
+zeroed out.  One column elimination, `_reduce_blocks`, computes every normal
+form: it reduces the column blocks in order on the stacked matrix [A; I],
+whose lower rows record the column operations as the transition matrix g;
+`s_reduce` is its one-block case and `cell_form` its shape case.  The number
+of unconstrained entries of that normal form is the cell dimension, and
+transporting the partition to a multiset word turns the dimension into an
+inversion count.  `cell_sum_poly` sums the dimensions without building a
+partition: by the level rule in its docstring each block's choice of
+positions gains a fixed amount, and a depth-first walk makes one histogram
+increment per partition, never convolving the levels.  `FpMatrix.rank` and
+`inverse` both read one row elimination, `_row_reduce` (Gauss-Jordan), which
+shares no code with `_reduce_blocks` because the `cell-decomposition` and
+`coset-law` checks use them to check `_reduce_blocks`' output.
 
 Everything is exact arithmetic over F_p, p a prime below 2^64.
 """
@@ -142,7 +142,7 @@ class FpMatrix:
 def _row_reduce(p: int, rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], tuple[int, ...]]:
     """Gauss-Jordan elimination over F_p: the reduced row-echelon rows and their
     increasing pivot columns.  Row operations only, so `rank` and `inverse`
-    share no code with the column elimination `_column_reduce` they check.
+    share no code with the column elimination `_reduce_blocks` they check.
     """
     work, pivots = [list(row) for row in rows], []
     for col in range(len(work[0]) if work else 0):
@@ -172,73 +172,80 @@ def s_reduce(matrix: FpMatrix, anti: bool = False) -> tuple[tuple[int, ...], FpM
     above each pivot (below, for the anti form) vanish.  The pivot sequence
     is an invariant of the column space.  `_reduce_blocks` with one block.
     """
+    require_instance(matrix, FpMatrix, "matrix")
     (pivots,), reduced, g = _reduce_blocks(matrix, (0, matrix.cols), anti)
     return pivots, reduced, g
 
 
 def _reduce_blocks(A: FpMatrix, cuts: Sequence[int], anti: bool) -> tuple[list, FpMatrix, FpMatrix]:
-    """`_column_reduce` on A's column blocks between consecutive cuts, in order,
-    with g starting as the identity: each block's pivot rows, M = A @ g and g."""
-    p, n, e = A.p, A.rows, A.cols
-    cols = [list(column) for column in zip(*A.entries)]
-    gcols = [[1 if i == j else 0 for i in range(e)] for j in range(e)]
-    blocks = [_column_reduce(p, n, cols, gcols, a, b, anti) for a, b in zip(cuts, cuts[1:])]
-    reduced = tuple(zip(*cols)) if cols else ((),) * n
-    return blocks, FpMatrix._wrap(p, reduced), FpMatrix._wrap(p, tuple(zip(*gcols)))
+    """Column-reduce A's blocks between consecutive cuts, in order: each block's
+    1-based pivot rows, M = A @ g and g.
 
+    The pass works on the columns of the stacked matrix [A; I], whose lower
+    rows start as the identity and so record every column operation: when A
+    has turned into M they hold g.  Rows are scanned from the top (from the
+    bottom, for the anti form).  On each row, the block's first column without
+    a pivot that is nonzero there becomes the next pivot column: it moves into
+    place, its entry is scaled to 1, and the row is cleared from every other
+    column from the block's start on, so the later blocks lose the rows this
+    block claims.  The anti scan finds the pivots bottom-up; one reversal
+    leaves the block in increasing pivot order.
 
-def _column_reduce(
-    p: int, n: int, cols: list[list[int]], gcols: list[list[int]], start: int, stop: int, anti: bool
-) -> tuple[int, ...]:
-    """Column-reduce the block cols[start:stop] of length-n columns in place,
-    doing each column operation to `gcols` too; returns its 1-based pivot rows.
-
-    Rows are scanned from the top (from the bottom, for the anti form).  On
-    each row, the block's first column without a pivot that is nonzero there
-    becomes the next pivot column: it moves into place, its entry is scaled to
-    1, and the row is cleared from every other column from `start` on, so the
-    later blocks lose the rows this block claims.  The anti scan finds the
-    pivots bottom-up; one reversal leaves the block in increasing pivot order.
+    >>> blocks, M, g = _reduce_blocks(FpMatrix(2, [[0, 1, 1], [1, 1, 0], [1, 0, 0]]), (0, 1, 3), False)
+    >>> blocks
+    [(2,), (1, 3)]
+    >>> M.entries
+    ((0, 1, 0), (1, 0, 0), (1, 0, 1))
+    >>> g.entries
+    ((1, 0, 1), (0, 0, 1), (0, 1, 1))
     """
-    pivots: list[int] = []
-    for i in reversed(range(n)) if anti else range(n):
-        j = start + len(pivots)
-        if j == stop:
-            break
-        c = next((c for c in range(j, stop) if cols[c][i]), None)
-        if c is None:
-            continue
-        cols[j], cols[c] = cols[c], cols[j]
-        gcols[j], gcols[c] = gcols[c], gcols[j]
-        inv = pow(cols[j][i], -1, p)
-        col = cols[j] = [x * inv % p for x in cols[j]]
-        gcol = gcols[j] = [x * inv % p for x in gcols[j]]
-        for k in range(start, len(cols)):
-            f = cols[k][i]
-            if f and k != j:
-                cols[k] = [(a - f * b) % p for a, b in zip(cols[k], col)]
-                gcols[k] = [(a - f * b) % p for a, b in zip(gcols[k], gcol)]
-        pivots.append(i + 1)
-    if start + len(pivots) < stop:
-        raise ValidationError(f"matrix has rank below {stop - start}, cannot column-reduce")
-    if anti:
-        cols[start:stop] = cols[start:stop][::-1]
-        gcols[start:stop] = gcols[start:stop][::-1]
-        pivots.reverse()
-    return tuple(pivots)
+    p, n, e = A.p, A.rows, A.cols
+    cols = [list(column) + [0] * j + [1] + [0] * (e - j - 1) for j, column in enumerate(zip(*A.entries))]
+    blocks = []
+    for start, stop in zip(cuts, cuts[1:]):
+        pivots: list[int] = []
+        for i in reversed(range(n)) if anti else range(n):
+            j = start + len(pivots)
+            if j == stop:
+                break
+            for c in range(j, stop):  # the first column without a pivot that is nonzero here
+                if cols[c][i]:
+                    break
+            else:
+                continue
+            col, cols[c] = cols[c], cols[j]
+            if col[i] != 1:
+                inv = pow(col[i], -1, p)
+                col = [x * inv % p for x in col]
+            cols[j] = col
+            for k in range(start, e):
+                f = cols[k][i]
+                if f and k != j:
+                    cols[k] = [(a - f * b) % p for a, b in zip(cols[k], col)]
+            pivots.append(i + 1)
+        if start + len(pivots) < stop:
+            raise ValidationError(f"matrix has rank below {stop - start}, cannot column-reduce")
+        if anti:
+            cols[start:stop] = cols[start:stop][::-1]
+            pivots.reverse()
+        blocks.append(tuple(pivots))
+    rows = tuple(zip(*cols)) or ((),) * n
+    return blocks, FpMatrix._wrap(p, rows[:n]), FpMatrix._wrap(p, rows[n:])
 
 
-def _require_square(A: FpMatrix, n: int) -> None:
+def _require_square(A: FpMatrix, shape: FlagShape) -> int:
+    """The shape's n, once the shape is a FlagShape and A an n x n FpMatrix."""
+    n = require_instance(shape, FlagShape, "shape").n
     if require_instance(A, FpMatrix, "matrix").rows != n or A.cols != n:
         raise ValidationError(f"expected an {n}x{n} matrix")
+    return n
 
 
 def is_parabolic_member(g: FpMatrix, shape: FlagShape) -> bool:
     """True iff g is invertible and block-upper-triangular for the shape's
     blocks.  A block-triangular matrix is invertible exactly when its diagonal
     blocks are, so this is a zero test below the diagonal blocks and one rank."""
-    n = shape.n
-    _require_square(g, n)
+    n = _require_square(g, shape)
     c, rows = shape.cuts, g.entries
     if any(any(row[:start]) for start, stop in zip(c, c[1:]) for row in rows[start:stop]):
         return False
@@ -253,6 +260,7 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __init__(self, shape: FlagShape, blocks: Sequence[Sequence[int]]):
+        require_instance(shape, FlagShape, "shape")
         data = tuple(require_ints(block, "blocks") for block in require_sequence(blocks, "blocks"))
         sizes = shape.block_sizes
         if len(data) != len(sizes):
@@ -270,6 +278,7 @@ class OrderedSetPartition:
 
 
 def _check_partition_cap(shape: FlagShape, cap: int) -> None:
+    require_instance(shape, FlagShape, "shape")
     check_cap(cap, "ordered set partition enumeration", shape.n - max(shape.block_sizes), shape.multinomial)
 
 
@@ -354,7 +363,7 @@ def theta_word(sigma: OrderedSetPartition) -> MultisetWord:
     unchecked, like `enumerate_words`' words; test_enumerated_objects_match_public_constructors
     and word-transport pin it.
     """
-    shape = sigma.shape
+    shape = require_instance(sigma, OrderedSetPartition, "partition").shape
     member = [0] * (shape.n + 1)
     for ell, block in enumerate(sigma.blocks, start=1):
         for v in block:
@@ -375,7 +384,7 @@ class CellForm:
     anti: bool
 
     def __init__(self, sigma: OrderedSetPartition, matrix: FpMatrix, anti: bool = False):
-        _require_square(matrix, sigma.shape.n)
+        _require_square(matrix, require_instance(sigma, OrderedSetPartition, "partition").shape)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "anti", bool(anti))
@@ -407,12 +416,17 @@ def cell_form(
     claims is cleared from the later blocks' columns as the pivot is found, so
     each block is reduced with the earlier blocks' rows already zero, and a
     singular A leaves some block short of pivots.  Returns (sigma, form, g)
-    with form.matrix = A @ g and g block-upper-triangular.
+    with form.matrix = A @ g and g block-upper-triangular.  sigma and form are
+    valid by construction and built unchecked, like `enumerate_partitions`'
+    partitions; test_enumerated_objects_match_public_constructors pins them.
     """
-    _require_square(A, shape.n)
+    _require_square(A, shape)
     blocks, reduced, g = _reduce_blocks(A, shape.cuts, anti)
-    sigma = OrderedSetPartition(shape, blocks)
-    return sigma, CellForm(sigma, reduced, anti), g
+    sigma = object.__new__(OrderedSetPartition)
+    sigma.__dict__.update(shape=shape, blocks=tuple(blocks))
+    form = object.__new__(CellForm)
+    form.__dict__.update(sigma=sigma, matrix=reduced, anti=bool(anti))
+    return sigma, form, g
 
 
 def cell_sum_poly(shape: FlagShape, anti: bool = False, cap: int = DEFAULT_CAP) -> IntPoly:
@@ -494,6 +508,7 @@ class Flag:
     bases: tuple[FpMatrix, ...]
 
     def __init__(self, shape: FlagShape, p: int, bases: Sequence[FpMatrix]):
+        require_instance(shape, FlagShape, "shape")
         require_prime(p)
         data = require_sequence(bases, "bases")
         if len(data) != shape.r:
@@ -524,8 +539,7 @@ class Flag:
 
 def phi_flag(A: FpMatrix, shape: FlagShape) -> Flag:
     """The flag spanned by the leading column blocks of an invertible matrix."""
-    n = shape.n
-    _require_square(A, n)
+    n = _require_square(A, shape)
     if A.rank() != n:
         raise ValidationError("matrix is singular")
     # the canonical bases of an invertible matrix's column prefixes are nested and of full rank
@@ -577,6 +591,7 @@ def enumerate_flags(shape: FlagShape, p: int, cap: int = DEFAULT_CAP) -> list[Fl
     chains end in the smaller basis.  Flags are built unchecked;
     test_enumerated_objects_match_public_constructors pins them.
     """
+    require_instance(shape, FlagShape, "shape")
     require_prime(p)
     check_cap(cap, "flag enumeration", shape.nu,  # a monic degree-nu count at p: >= 2^nu
               lambda: flag_count_group_formula(shape, p))
@@ -614,6 +629,7 @@ def flag_count_group_formula(shape: FlagShape, p: int) -> int:
     p^(nu + sum e(e-1)/2) = p^(n(n-1)/2).  The power of p cancels, which
     leaves the q-multinomial at q = p, computed by `q_multinomial_at`.
     """
+    require_instance(shape, FlagShape, "shape")
     require_prime(p)
     return q_multinomial_at(shape, p)
 

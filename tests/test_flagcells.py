@@ -371,8 +371,9 @@ def _assert_public_twin(built, public):
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_enumerated_objects_match_public_constructors(n):
-    # the enumerators and theta_word skip the public constructors' checks;
-    # each object they build must pass those checks and equal the checked copy
+    # the enumerators, theta_word and cell_form skip the public constructors'
+    # checks; each object they build must pass those checks and equal the checked copy
+    rng = random.Random(n)
     for shape in all_shapes(n):
         for word in enumerate_words(shape):
             assert type(word.letters) is tuple
@@ -387,6 +388,13 @@ def test_enumerated_objects_match_public_constructors(n):
             for flag in enumerate_flags(shape, p):
                 assert type(flag.bases) is tuple
                 _assert_public_twin(flag, Flag(shape, p, flag.bases))
+            for _ in range(3):
+                a = _random_invertible(n, p, rng)
+                for anti in (False, True):
+                    sigma, form, _ = cell_form(a, shape, anti)
+                    assert type(sigma.blocks) is tuple and all(type(b) is tuple for b in sigma.blocks)
+                    _assert_public_twin(sigma, OrderedSetPartition(shape, sigma.blocks))
+                    _assert_public_twin(form, CellForm(sigma, form.matrix, anti))
 
 
 def test_cell_dimension_example():

@@ -61,7 +61,9 @@ from qcomb import (
     q_multinomial_prefix,
     reduced_echelon_bases,
     restricted_divisor_sum,
+    s_reduce,
     tau_for_lambda,
+    theta_word,
 )
 
 SHAPE = FlagShape(3, (2,))
@@ -256,19 +258,33 @@ def test_a_non_matrix_is_refused():
             call()
 
 
+MATRIX = FpMatrix.identity(2, 3)
+
 WRONG_TYPES = [
     (mahonian_table, (None,)),
     (is_refinement, (SHAPE, None)),
     (cell_dimension, (None,)),
     (inversion_count, (None,)),
     (inversion_count_quadratic, (None,)),
+    (cell_form, (MATRIX, None)),
+    (phi_flag, (MATRIX, None)),
+    (is_parabolic_member, (MATRIX, None)),
+    (s_reduce, (None,)),
+    (enumerate_flags, (None, 2)),
+    (enumerate_partitions, (None,)),
+    (cell_sum_poly, (None,)),
+    (theta_word, (None,)),
+    (flag_count_group_formula, (None, 2)),
+    (OrderedSetPartition, (None, ((1, 2), (3,)))),
+    (Flag, (None, 2, ())),
+    (CellForm, (None, MATRIX)),
 ]
 
 
 @pytest.mark.parametrize("call, args", WRONG_TYPES, ids=[call.__name__ for call, _ in WRONG_TYPES])
 def test_an_object_of_the_wrong_type_is_refused(call, args):
     with pytest.raises(ValidationError, match="must be (of type|a sequence)"):
-        call(*args)
+        _result(call, args)
 
 
 def _range_checks(tree: ast.AST) -> Iterator[tuple[int, str]]:
